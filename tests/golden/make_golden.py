@@ -1,7 +1,7 @@
 """Record the golden row pins: for every registered scenario at seed 1 with
 20 flows per cell, each cell's ``events_processed`` and the SHA-256 of its
 canonical ``ResultRow`` JSON (``events_processed`` and every digest
-included).
+included; floats at ``FLOAT_DIGITS`` significant digits).
 
 ``tests/test_golden_rows.py`` recomputes the pins and compares them.  Run
 this from the root of a checkout only after a deliberate change of the
@@ -27,9 +27,28 @@ ROWS = HERE / "rows.json"
 GOLDEN_OVERRIDES = {"seed": 1, "num_flows": 20}
 
 
+#: Floats are pinned at this many significant digits.  From Python 3.12 on,
+#: ``sum()`` adds floats with compensated (Neumaier) summation, so a mean
+#: such as ``avg_slowdown`` can differ in its last bit from 3.10/3.11; 12
+#: digits absorb that and still catch any change of the simulated physics.
+FLOAT_DIGITS = 12
+
+
+def canonical(value):
+    """``value`` (JSON-shaped) with every float rounded to ``FLOAT_DIGITS``."""
+    if isinstance(value, float):
+        return float(f"{value:.{FLOAT_DIGITS}g}")
+    if isinstance(value, dict):
+        return {key: canonical(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [canonical(item) for item in value]
+    return value
+
+
 def row_sha256(row) -> str:
-    """SHA-256 of a ``ResultRow``'s canonical JSON (sorted keys, no spaces)."""
-    text = json.dumps(row.to_dict(), sort_keys=True, separators=(",", ":"))
+    """SHA-256 of a ``ResultRow``'s canonical JSON (floats rounded to
+    ``FLOAT_DIGITS``, sorted keys, no spaces)."""
+    text = json.dumps(canonical(row.to_dict()), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
