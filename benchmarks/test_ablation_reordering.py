@@ -17,16 +17,16 @@ from repro.experiments.runner import (
     _build_network,
     _generate_flows,
     _FlowLauncher,
-    _make_simulator,
 )
 from repro.metrics.collector import MetricsCollector
+from repro.sim.engine import Simulator
 
 from benchmarks.conftest import BENCH_SEEDS
 
 
 def _run_with_spray(config):
     """Run one experiment with per-packet-spray routing installed."""
-    sim = _make_simulator(config)
+    sim = Simulator(seed=config.seed)
     network = _build_network(sim, config)
     network.build_routing(packet_spray=True)
     collector = MetricsCollector(network, mtu_bytes=config.mtu_bytes,

@@ -303,11 +303,7 @@ class BaseSender:
             # to the flush timeout; budget it into the RTO (as RFC 6298
             # stacks do for delayed ACKs) or that wait reads as a loss.
             delay += self.config.ack_coalesce_s
-        # Retransmission timers follow the set-then-cancel pattern (almost
-        # every timer is cancelled by the ACK that precedes it), so they go
-        # on the engine's timer wheel where cancellation is O(1) and never
-        # leaves a tombstone in the sorted event structures.
-        self._rto_event = self.sim.set_timer(delay, self._rto_fired)
+        self._rto_event = self.sim.schedule(delay, self._rto_fired)
 
     def _cancel_rto(self) -> None:
         if self._rto_event is not None:
@@ -484,7 +480,7 @@ class BaseReceiver:
         if self._ack_pending >= config.ack_coalesce_n or self.completed:
             responses.append(self._flush_ack())
         elif self._ack_timer is None:
-            self._ack_timer = self.sim.set_timer(config.ack_coalesce_s, self._ack_timer_fired)
+            self._ack_timer = self.sim.schedule(config.ack_coalesce_s, self._ack_timer_fired)
 
     def _flush_ack(self) -> Packet:
         """Materialize the banked window as one cumulative ACK frame."""

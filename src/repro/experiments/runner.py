@@ -29,7 +29,6 @@ from repro.faults import FaultEngine
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import MetricSummary
 from repro.sim.engine import Simulator
-from repro.sim.link import DEFAULT_PORT_BATCH
 from repro.sim.network import Network
 from repro.topology import TOPOLOGIES
 from repro.workload import WORKLOADS
@@ -248,27 +247,9 @@ def _generate_flows(config: ExperimentConfig, network: Network) -> List[Flow]:
     return flows
 
 
-def bucket_width_for(config: ExperimentConfig) -> float:
-    """Calendar bucket width for ``config``: the departure-batch quantum.
-
-    Ports release serialization events one *batch* (``DEFAULT_PORT_BATCH``
-    MTUs) at a time, so keying buckets on the batch serialization time --
-    rather than a single MTU's -- puts each port's next departure in or near
-    the current bucket instead of four buckets ahead.  Measured ~17% faster
-    on incast fan-in and neutral elsewhere.  (The width only affects speed,
-    never event order.)
-    """
-    return DEFAULT_PORT_BATCH * config.mtu_bytes * 8.0 / config.link_bandwidth_bps
-
-
-def _make_simulator(config: ExperimentConfig) -> Simulator:
-    """Build the engine for ``config`` (heap escape hatch via REPRO_ENGINE)."""
-    return Simulator(seed=config.seed, bucket_width_s=bucket_width_for(config))
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one simulation described by ``config`` and collect its metrics."""
-    sim = _make_simulator(config)
+    sim = Simulator(seed=config.seed)
     network = _build_network(sim, config)
     if config.port_batch_bytes is not None:
         # Bytes-based departure-batch cap, fabric-wide (host NICs source

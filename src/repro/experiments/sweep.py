@@ -44,6 +44,7 @@ written by a different source tree read as misses.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib
 import itertools
@@ -388,8 +389,14 @@ def _run_cell(item: Tuple[str, ExperimentConfig]) -> ResultRow:
     from repro.experiments.runner import run_experiment
 
     label, config = item
-    result = run_experiment(config)
-    return ResultRow.from_result(result, label=label)
+    row = ResultRow.from_result(run_experiment(config), label=label)
+    # The finished cell's simulator and fabric form a reference cycle (every
+    # component points back at ``sim``), which only a full collection frees.
+    # The engine allocates too few container objects to trigger one on its
+    # own, so without this each cell's graph lingers and a long sweep's
+    # memory climbs cell after cell.
+    gc.collect()
+    return row
 
 
 @dataclass

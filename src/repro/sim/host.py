@@ -134,16 +134,16 @@ class Host:
 
         All paced QPs on this host share a single pending wake-up: a request
         at or after the pending one is absorbed; an earlier request replaces
-        it (the replaced timer is cancelled, which is O(1) on the wheel).
-        This is what makes a saturated paced host cost one event per pacing
-        quantum instead of one per QP per packet.
+        it (the replaced wake-up is cancelled).  This is what makes a
+        saturated paced host cost one event per pacing quantum instead of one
+        per QP per packet.
         """
         event = self._pacing_wakeup
         if event is not None and not event.cancelled:
             if event.time <= when:
                 return
             event.cancel()
-        self._pacing_wakeup = self.sim.set_timer_at(when, self._pacing_wakeup_fired)
+        self._pacing_wakeup = self.sim.schedule_at(when, self._pacing_wakeup_fired)
 
     def _pacing_wakeup_fired(self) -> None:
         self._pacing_wakeup = None

@@ -149,8 +149,8 @@ def _build_dumbbell_from_config(sim: "Simulator", config, switch_config) -> Netw
 def _build_wan_dumbbell_from_config(sim: "Simulator", config, switch_config) -> Network:
     """A dumbbell whose s0--s1 bottleneck is a long-haul link: host links keep
     the intra-DC ``link_delay_s`` while the bottleneck carries ``wan_delay_s``
-    (1000x longer by default), the smallest fabric with the delay
-    heterogeneity that exercises the hierarchical calendar's upper levels."""
+    (1000x longer by default), the smallest fabric with propagation-scale
+    delay heterogeneity."""
     return build_dumbbell(
         sim,
         max(1, config.num_hosts // 2),

@@ -25,8 +25,7 @@ from repro.verify.fuzz import FuzzCase
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
-        description="Randomized invariant fuzzing of the simulator "
-        "(both engine cores, every case).",
+        description="Randomized invariant fuzzing of the simulator.",
     )
     parser.add_argument(
         "--budget",
@@ -68,7 +67,7 @@ def main(argv=None) -> int:
         print(f"case seed={args.seed}: {case.describe()}")
         report = check_case(case)
         if report.passed:
-            print("all invariants hold on both cores")
+            print("all invariants hold")
             return 0
         for violation in report.violations:
             print(f"  {violation}")

@@ -2,8 +2,7 @@
 
 Each check returns a list of violation strings (empty == invariant holds),
 so a single run reports *every* broken property rather than stopping at the
-first.  ``check_outcome`` judges one run; ``check_pair`` judges the
-calendar-vs-heap pair of runs of the same case.
+first.  ``check_outcome`` judges one run.
 
 The invariants (the harness contract documented in
 ``docs/architecture.md``):
@@ -25,11 +24,6 @@ The invariants (the harness contract documented in
    (``expected_psn``) ever regresses.
 6. **Completion sanity** -- completed flows never exceed launched flows,
    and the collector's completion count matches the flow objects.
-7. **Event-order identity** -- both cores execute byte-identical
-   ``(time, seq)`` traces and agree on every physical counter.  (Cancelled
-   vs pending tallies legitimately differ between cores mid-run -- a
-   tombstone discarded by one core's compaction may still be queued in the
-   other -- so only their *sum* is compared, via invariant 2.)
 """
 
 from __future__ import annotations
@@ -40,16 +34,15 @@ from repro.verify.fuzz import CaseOutcome, FuzzCase
 
 
 def check_outcome(case: FuzzCase, outcome: CaseOutcome) -> List[str]:
-    """All single-run invariant violations for ``case`` on one core."""
+    """All invariant violations of one run of ``case``."""
     violations: List[str] = []
-    core = outcome.queue_kind
 
     # 1. Monotone simulator clock.
     trace = outcome.trace
     for i in range(1, len(trace)):
         if trace[i][0] < trace[i - 1][0]:
             violations.append(
-                f"[{core}] clock regressed: event #{i} at t={trace[i][0]} "
+                f"clock regressed: event #{i} at t={trace[i][0]} "
                 f"after t={trace[i - 1][0]}"
             )
             break
@@ -60,7 +53,7 @@ def check_outcome(case: FuzzCase, outcome: CaseOutcome) -> List[str]:
     )
     if outcome.events_scheduled != accounted:
         violations.append(
-            f"[{core}] event accounting leak: scheduled={outcome.events_scheduled} "
+            f"event accounting leak: scheduled={outcome.events_scheduled} "
             f"!= processed={outcome.events_processed} "
             f"+ cancelled={outcome.events_cancelled} "
             f"+ pending={outcome.pending_events} (= {accounted})"
@@ -70,7 +63,7 @@ def check_outcome(case: FuzzCase, outcome: CaseOutcome) -> List[str]:
     # fault drops included.
     if case.pfc_enabled and (outcome.switch_drops + outcome.fault_drops) != 0:
         violations.append(
-            f"[{core}] losslessness violated: {outcome.switch_drops} switch "
+            f"losslessness violated: {outcome.switch_drops} switch "
             f"drop(s) + {outcome.fault_drops} fault drop(s) on a PFC-enabled "
             f"fabric"
         )
@@ -86,7 +79,7 @@ def check_outcome(case: FuzzCase, outcome: CaseOutcome) -> List[str]:
         )
         if outcome.packets_committed != balance:
             violations.append(
-                f"[{core}] conservation violated: committed="
+                "conservation violated: committed="
                 f"{outcome.packets_committed} != delivered={outcome.packets_delivered}"
                 f" + dropped={outcome.switch_drops}"
                 f" + fault_dropped={outcome.fault_drops}"
@@ -95,59 +88,18 @@ def check_outcome(case: FuzzCase, outcome: CaseOutcome) -> List[str]:
 
     # 5. Per-QP delivery ordering.
     for message in outcome.ordering_violations:
-        violations.append(f"[{core}] ordering violated: {message}")
+        violations.append(f"ordering violated: {message}")
 
     # 6. Completion sanity.
     if outcome.flows_completed > outcome.flows_total:
         violations.append(
-            f"[{core}] {outcome.flows_completed} completions out of "
+            f"{outcome.flows_completed} completions out of "
             f"{outcome.flows_total} flows"
         )
     if outcome.completions_recorded != outcome.flows_completed:
         violations.append(
-            f"[{core}] collector recorded {outcome.completions_recorded} "
+            f"collector recorded {outcome.completions_recorded} "
             f"completions but {outcome.flows_completed} flows completed"
         )
 
     return violations
-
-
-def check_pair(case: FuzzCase, calendar: CaseOutcome, heap: CaseOutcome) -> List[str]:
-    """Cross-core identity violations between the two runs of ``case``."""
-    violations: List[str] = []
-
-    if calendar.trace != heap.trace:
-        detail = _first_trace_divergence(calendar.trace, heap.trace)
-        violations.append(f"[cross] event order diverged: {detail}")
-
-    for field in (
-        "events_scheduled",
-        "events_processed",
-        "packets_committed",
-        "packets_delivered",
-        "switch_drops",
-        "fault_drops",
-        "queued_packets",
-        "flows_completed",
-        "completions_recorded",
-        "deadlock_events",
-        "time_to_deadlock_s",
-        "pause_frames",
-    ):
-        a = getattr(calendar, field)
-        b = getattr(heap, field)
-        if a != b:
-            violations.append(f"[cross] {field} diverged: calendar={a} heap={b}")
-
-    return violations
-
-
-def _first_trace_divergence(a: list, b: list) -> str:
-    if len(a) != len(b):
-        prefix = f"calendar ran {len(a)} events, heap ran {len(b)}"
-    else:
-        prefix = f"{len(a)} events each"
-    for i, (ea, eb) in enumerate(zip(a, b)):
-        if ea != eb:
-            return f"{prefix}; first divergence at #{i}: calendar={ea} heap={eb}"
-    return f"{prefix}; one trace is a prefix of the other"

@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Iterable, Optional
 
 HERE = Path(__file__).resolve().parent
 ROWS = HERE / "rows.json"
@@ -52,30 +52,37 @@ def row_sha256(row) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def compute_pins() -> Dict[str, Dict[str, dict]]:
-    """``scenario -> cell label -> {"sha256", "events_processed"}``."""
-    from repro.api import list_scenarios
-    from repro.experiments.results import ResultRow
-    from repro.experiments.runner import run_experiment
+def golden_configs(name: str) -> dict:
+    """``cell label -> ExperimentConfig`` of scenario ``name`` at the golden
+    seed and flow count."""
     from repro.experiments.spec import scenario
 
-    pins: Dict[str, Dict[str, dict]] = {}
-    for name in list_scenarios():
-        cells = {}
-        for label, config in scenario(name).configs(**GOLDEN_OVERRIDES).items():
-            row = ResultRow.from_result(run_experiment(config), label=label)
-            cells[label] = {"sha256": row_sha256(row), "events_processed": row.events_processed}
-        pins[name] = cells
-    return pins
+    return scenario(name).configs(**GOLDEN_OVERRIDES)
 
 
-def dumps(pins: Dict[str, Dict[str, dict]]) -> str:
-    return json.dumps(pins, indent=1, sort_keys=True) + "\n"
+def cell_pin(label: str, config) -> dict:
+    """``{"sha256", "events_processed"}`` of one cell, run from scratch."""
+    from repro.experiments.results import ResultRow
+    from repro.experiments.runner import run_experiment
+
+    row = ResultRow.from_result(run_experiment(config), label=label)
+    return {"sha256": row_sha256(row), "events_processed": row.events_processed}
+
+
+def compute_pins(names: Optional[Iterable[str]] = None) -> Dict[str, Dict[str, dict]]:
+    """``scenario -> cell label -> {"sha256", "events_processed"}`` for
+    ``names`` (default: every registered scenario)."""
+    from repro.api import list_scenarios
+
+    return {
+        name: {label: cell_pin(label, config) for label, config in golden_configs(name).items()}
+        for name in (list_scenarios() if names is None else names)
+    }
 
 
 def main() -> int:
     pins = compute_pins()
-    ROWS.write_text(dumps(pins))
+    ROWS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print(f"{sum(len(cells) for cells in pins.values())} cells in {len(pins)} scenarios pinned")
     return 0
 

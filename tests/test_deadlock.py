@@ -5,22 +5,17 @@ carrying the ``circular`` workload, which feeds every receiver at full rate
 from two different upstream switches.  Under RoCE with PFC the pause
 wait-for graph closes into the cycle ``s0 -> s1 -> s2 -> s0`` and the
 fabric wedges; under IRN (no PFC) packets drop and retransmit instead, so
-the detector must stay silent forever.
-
-The time of the *first* deadlock must be byte-stable across both engine
-cores -- it is derived purely from the event order the cores are required
-to share.
+the detector must stay silent forever.  The ``pfc_deadlock`` scenario's
+golden row pins (``tests/golden/``) fix the time of the first deadlock
+absolutely.
 """
 
-import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.sim.deadlock import PfcDeadlockDetector
 from repro.sim.engine import Simulator
 from repro.topology.cyclic import build_ring
-
-ENGINE_CORES = ("calendar", "heap")
 
 
 def _ring_config(transport: str, pfc_enabled: bool) -> ExperimentConfig:
@@ -39,11 +34,6 @@ def _ring_config(transport: str, pfc_enabled: bool) -> ExperimentConfig:
         max_sim_time_s=0.002,
         keep_flow_records=False,
     )
-
-
-def _run(config: ExperimentConfig, queue: str, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", queue)
-    return run_experiment(config)
 
 
 # ---------------------------------------------------------------------------
@@ -96,44 +86,20 @@ def test_detector_ignores_repeated_pause_of_same_port():
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: RoCE+PFC wedges, IRN does not, both cores agree to the byte
+# End-to-end: RoCE+PFC wedges, IRN does not
 # ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def roce_outcomes():
-    results = {}
-    config = _ring_config("roce", pfc_enabled=True)
-    mp = pytest.MonkeyPatch()
-    try:
-        for queue in ENGINE_CORES:
-            mp.setenv("REPRO_ENGINE", queue)
-            results[queue] = run_experiment(config)
-    finally:
-        mp.undo()
-    return results
+def test_roce_with_pfc_deadlocks_on_circular_dependency():
+    result = run_experiment(_ring_config("roce", pfc_enabled=True))
+    assert result.deadlock_events > 0
+    assert result.time_to_deadlock_s is not None
+    assert 0.0 < result.time_to_deadlock_s < 0.002
+    # Lossless fabric: it wedges, it does not drop.
+    assert result.packets_dropped == 0
+    assert result.pause_frames > 0
 
 
-def test_roce_with_pfc_deadlocks_on_circular_dependency(roce_outcomes):
-    for queue in ENGINE_CORES:
-        result = roce_outcomes[queue]
-        assert result.deadlock_events > 0
-        assert result.time_to_deadlock_s is not None
-        assert 0.0 < result.time_to_deadlock_s < 0.002
-        # Lossless fabric: it wedges, it does not drop.
-        assert result.packets_dropped == 0
-        assert result.pause_frames > 0
-
-
-def test_time_to_deadlock_is_byte_stable_across_cores(roce_outcomes):
-    calendar = roce_outcomes["calendar"]
-    heap = roce_outcomes["heap"]
-    assert calendar.time_to_deadlock_s == heap.time_to_deadlock_s
-    assert calendar.deadlock_events == heap.deadlock_events
-    assert calendar.events_processed == heap.events_processed
-
-
-@pytest.mark.parametrize("queue", ENGINE_CORES)
-def test_irn_never_deadlocks_on_the_same_ring(queue, monkeypatch):
-    result = _run(_ring_config("irn", pfc_enabled=False), queue, monkeypatch)
+def test_irn_never_deadlocks_on_the_same_ring():
+    result = run_experiment(_ring_config("irn", pfc_enabled=False))
     assert result.deadlock_events == 0
     assert result.time_to_deadlock_s is None
     assert result.pause_frames == 0

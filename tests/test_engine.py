@@ -1,35 +1,25 @@
-"""Tests for the discrete-event engine (both scheduler cores).
+"""Tests for the discrete-event engine.
 
-Everything in the shared contract -- ordering, cancellation, ``run``
-control, ``until``/``max_events`` semantics, cancellation accounting -- runs
-against **both** the heap core and the calendar/timer-wheel core via the
-``sim`` fixture.  Core-specific structure tests (heap compaction, calendar
-window rotation, wheel flushing) live in their own classes.
+The contract: ``(time, seq)`` ordering with FIFO ties, cancellation,
+``run`` control, ``until``/``max_events`` semantics, cancellation
+accounting and tombstone compaction.  Timers are plain events, so the
+transports' set-then-cancel retransmission pattern is tested through
+``schedule`` like everything else.
 """
+
+import inspect
 
 import pytest
 
 from repro.sim.engine import _COMPACT_MIN_SIZE, Simulator
 
 
-@pytest.fixture(params=["heap", "calendar"])
-def make_sim(request):
-    """Factory for a simulator of each core (``make_sim(seed=...)``)."""
-
-    def factory(**kwargs):
-        kwargs.setdefault("queue", request.param)
-        return Simulator(**kwargs)
-
-    factory.queue = request.param
-    return factory
-
-
 class TestScheduling:
-    def test_starts_at_time_zero(self, make_sim):
-        assert make_sim().now == 0.0
+    def test_starts_at_time_zero(self):
+        assert Simulator().now == 0.0
 
-    def test_events_run_in_time_order(self, make_sim):
-        sim = make_sim()
+    def test_events_run_in_time_order(self):
+        sim = Simulator()
         order = []
         sim.schedule(3e-6, order.append, "c")
         sim.schedule(1e-6, order.append, "a")
@@ -37,40 +27,40 @@ class TestScheduling:
         sim.run_until_idle()
         assert order == ["a", "b", "c"]
 
-    def test_simultaneous_events_run_fifo(self, make_sim):
-        sim = make_sim()
+    def test_simultaneous_events_run_fifo(self):
+        sim = Simulator()
         order = []
         for label in "abcde":
             sim.schedule(1e-6, order.append, label)
         sim.run_until_idle()
         assert order == list("abcde")
 
-    def test_clock_advances_to_event_time(self, make_sim):
-        sim = make_sim()
+    def test_clock_advances_to_event_time(self):
+        sim = Simulator()
         sim.schedule(5e-6, lambda: None)
         sim.run_until_idle()
         assert sim.now == pytest.approx(5e-6)
 
-    def test_schedule_at_absolute_time(self, make_sim):
-        sim = make_sim()
+    def test_schedule_at_absolute_time(self):
+        sim = Simulator()
         times = []
         sim.schedule_at(2e-6, lambda: times.append(sim.now))
         sim.run_until_idle()
         assert times == [pytest.approx(2e-6)]
 
-    def test_negative_delay_rejected(self, make_sim):
+    def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            make_sim().schedule(-1e-6, lambda: None)
+            Simulator().schedule(-1e-6, lambda: None)
 
-    def test_scheduling_in_the_past_rejected(self, make_sim):
-        sim = make_sim()
+    def test_scheduling_in_the_past_rejected(self):
+        sim = Simulator()
         sim.schedule(1e-6, lambda: None)
         sim.run_until_idle()
         with pytest.raises(ValueError):
             sim.schedule_at(0.0, lambda: None)
 
-    def test_events_can_schedule_more_events(self, make_sim):
-        sim = make_sim()
+    def test_events_can_schedule_more_events(self):
+        sim = Simulator()
         seen = []
 
         def chain(depth):
@@ -83,8 +73,8 @@ class TestScheduling:
         assert seen == list(range(6))
         assert sim.now == pytest.approx(5e-6)
 
-    def test_zero_delay_events_run_after_current(self, make_sim):
-        sim = make_sim()
+    def test_zero_delay_events_run_after_current(self):
+        sim = Simulator()
         order = []
 
         def first():
@@ -100,57 +90,20 @@ class TestScheduling:
 
 
 class TestTimers:
-    """``set_timer`` -- the cancellable-timer API backed by the wheel."""
+    """Timers are plain events: the transports arm one and usually cancel it."""
 
-    def test_timer_fires_at_deadline(self, make_sim):
-        sim = make_sim()
-        times = []
-        sim.set_timer(320e-6, lambda: times.append(sim.now))
-        sim.run_until_idle()
-        assert times == [pytest.approx(320e-6)]
-
-    def test_cancelled_timer_does_not_fire(self, make_sim):
-        sim = make_sim()
+    def test_cancelled_timer_does_not_fire(self):
+        sim = Simulator()
         ran = []
-        timer = sim.set_timer(320e-6, ran.append, "x")
+        timer = sim.schedule(320e-6, ran.append, "x")
         sim.cancel(timer)
         sim.schedule(1e-3, ran.append, "end")
         sim.run_until_idle()
         assert ran == ["end"]
 
-    def test_negative_timer_delay_rejected(self, make_sim):
-        with pytest.raises(ValueError):
-            make_sim().set_timer(-1e-6, lambda: None)
-
-    def test_timer_in_the_past_rejected(self, make_sim):
-        sim = make_sim()
-        sim.schedule(1e-3, lambda: None)
-        sim.run_until_idle()
-        with pytest.raises(ValueError):
-            sim.set_timer_at(0.5e-3, lambda: None)
-
-    def test_timers_interleave_with_events_in_time_order(self, make_sim):
-        sim = make_sim()
-        order = []
-        sim.schedule(100e-6, order.append, "event-100us")
-        sim.set_timer(50e-6, order.append, "timer-50us")
-        sim.schedule(10e-6, order.append, "event-10us")
-        sim.set_timer(200e-6, order.append, "timer-200us")
-        sim.run_until_idle()
-        assert order == ["event-10us", "timer-50us", "event-100us", "timer-200us"]
-
-    def test_same_time_timer_and_event_keep_fifo_order(self, make_sim):
-        sim = make_sim()
-        order = []
-        sim.set_timer(70e-6, order.append, "timer-first")
-        sim.schedule(70e-6, order.append, "event-second")
-        sim.set_timer(70e-6, order.append, "timer-third")
-        sim.run_until_idle()
-        assert order == ["timer-first", "event-second", "timer-third"]
-
-    def test_rearm_pattern(self, make_sim):
+    def test_rearm_pattern(self):
         """The transports' set-cancel-rearm RTO pattern fires only the last."""
-        sim = make_sim()
+        sim = Simulator()
         fired = []
         timer = None
 
@@ -158,36 +111,37 @@ class TestTimers:
             nonlocal timer
             if timer is not None:
                 sim.cancel(timer)
-            timer = sim.set_timer(320e-6, fired.append, step)
+            timer = sim.schedule(320e-6, fired.append, step)
 
         for step in range(50):
             sim.schedule(step * 1e-6, rearm, step)
         sim.run_until_idle()
         assert fired == [49]
+        assert sim.events_cancelled == 49
 
 
 class TestCancellation:
-    def test_cancelled_event_does_not_run(self, make_sim):
-        sim = make_sim()
+    def test_cancelled_event_does_not_run(self):
+        sim = Simulator()
         ran = []
         event = sim.schedule(1e-6, ran.append, "x")
         event.cancel()
         sim.run_until_idle()
         assert ran == []
 
-    def test_cancel_via_simulator_helper(self, make_sim):
-        sim = make_sim()
+    def test_cancel_via_simulator_helper(self):
+        sim = Simulator()
         ran = []
         event = sim.schedule(1e-6, ran.append, "x")
         sim.cancel(event)
         sim.run_until_idle()
         assert ran == []
 
-    def test_cancel_none_is_noop(self, make_sim):
-        make_sim().cancel(None)
+    def test_cancel_none_is_noop(self):
+        Simulator().cancel(None)
 
-    def test_other_events_unaffected_by_cancellation(self, make_sim):
-        sim = make_sim()
+    def test_other_events_unaffected_by_cancellation(self):
+        sim = Simulator()
         ran = []
         event = sim.schedule(1e-6, ran.append, "a")
         sim.schedule(2e-6, ran.append, "b")
@@ -197,8 +151,8 @@ class TestCancellation:
 
 
 class TestRunControl:
-    def test_run_until_stops_before_later_events(self, make_sim):
-        sim = make_sim()
+    def test_run_until_stops_before_later_events(self):
+        sim = Simulator()
         ran = []
         sim.schedule(1e-6, ran.append, "a")
         sim.schedule(10e-6, ran.append, "b")
@@ -208,39 +162,39 @@ class TestRunControl:
         sim.run_until_idle()
         assert ran == ["a", "b"]
 
-    def test_run_until_advances_clock_when_queue_is_empty(self, make_sim):
-        sim = make_sim()
+    def test_run_until_advances_clock_when_queue_is_empty(self):
+        sim = Simulator()
         sim.run(until=1e-3)
         assert sim.now == pytest.approx(1e-3)
 
-    def test_run_until_stops_before_pending_timer(self, make_sim):
-        sim = make_sim()
+    def test_run_until_stops_before_pending_timer(self):
+        sim = Simulator()
         ran = []
-        sim.set_timer(400e-6, ran.append, "late-timer")
+        sim.schedule(400e-6, ran.append, "late-timer")
         sim.run(until=100e-6)
         assert ran == []
         assert sim.now == pytest.approx(100e-6)
         sim.run_until_idle()
         assert ran == ["late-timer"]
 
-    def test_run_until_executes_due_timer(self, make_sim):
-        sim = make_sim()
+    def test_run_until_executes_due_timer(self):
+        sim = Simulator()
         ran = []
-        sim.set_timer(50e-6, ran.append, "due")
+        sim.schedule(50e-6, ran.append, "due")
         sim.run(until=100e-6)
         assert ran == ["due"]
         assert sim.now == pytest.approx(100e-6)
 
-    def test_max_events_limits_execution(self, make_sim):
-        sim = make_sim()
+    def test_max_events_limits_execution(self):
+        sim = Simulator()
         ran = []
         for i in range(10):
             sim.schedule(i * 1e-6, ran.append, i)
         sim.run(max_events=3)
         assert ran == [0, 1, 2]
 
-    def test_stop_terminates_the_loop(self, make_sim):
-        sim = make_sim()
+    def test_stop_terminates_the_loop(self):
+        sim = Simulator()
         ran = []
         sim.schedule(1e-6, ran.append, "a")
         sim.schedule(2e-6, sim.stop)
@@ -248,12 +202,17 @@ class TestRunControl:
         sim.run_until_idle()
         assert ran == ["a"]
 
-    def test_events_processed_counter(self, make_sim):
-        sim = make_sim()
+    def test_events_processed_counter(self):
+        sim = Simulator()
         for i in range(4):
             sim.schedule(i * 1e-6, lambda: None)
         sim.run_until_idle()
         assert sim.events_processed == 4
+
+    def test_seed_is_the_only_constructor_argument(self):
+        assert list(inspect.signature(Simulator).parameters) == ["seed"]
+        with pytest.raises(TypeError):
+            Simulator(seed=1, queue="heap")
 
     def test_rng_is_deterministic_per_seed(self):
         values_a = Simulator(seed=5).rng.random()
@@ -264,8 +223,8 @@ class TestRunControl:
 
 
 class TestCancelledEventAccounting:
-    def test_cancelled_pops_counted_separately(self, make_sim):
-        sim = make_sim()
+    def test_cancelled_pops_counted_separately(self):
+        sim = Simulator()
         ran = []
         keep = sim.schedule(1e-6, ran.append, "a")
         for _ in range(5):
@@ -276,20 +235,8 @@ class TestCancelledEventAccounting:
         assert sim.events_processed == 1
         assert sim.events_cancelled == 5
 
-    def test_cancelled_timers_counted_in_events_cancelled(self, make_sim):
-        """Wheel cancellations land in the same counter as heap tombstones."""
-        sim = make_sim()
-        ran = []
-        for i in range(20):
-            sim.cancel(sim.set_timer(100e-6 + i * 1e-6, ran.append, "dead"))
-        sim.set_timer(500e-6, ran.append, "live")
-        sim.run_until_idle()
-        assert ran == ["live"]
-        assert sim.events_processed == 1
-        assert sim.events_cancelled == 20
-
-    def test_max_events_counts_only_executed_events(self, make_sim):
-        sim = make_sim()
+    def test_max_events_counts_only_executed_events(self):
+        sim = Simulator()
         ran = []
         # Interleave tombstones before each live event; max_events must budget
         # the *executed* events, not the discarded tombstones.
@@ -301,8 +248,8 @@ class TestCancelledEventAccounting:
         assert sim.events_processed == 3
         assert sim.events_cancelled >= 3
 
-    def test_tombstone_only_queue_drains_without_consuming_the_valve(self, make_sim):
-        sim = make_sim()
+    def test_tombstone_only_queue_drains_without_consuming_the_valve(self):
+        sim = Simulator()
         for i in range(10_000):
             sim.cancel(sim.schedule(i * 1e-9, lambda: None))
         sim.run(max_events=10)
@@ -312,8 +259,8 @@ class TestCancelledEventAccounting:
         assert sim.events_cancelled + sim.pending_events == 10_000
         assert sim.pending_events == 0
 
-    def test_clock_advance_sees_through_tombstone_head(self, make_sim):
-        sim = make_sim()
+    def test_clock_advance_sees_through_tombstone_head(self):
+        sim = Simulator()
         ran = []
         sim.schedule(1.0, ran.append, "a")
         sim.cancel(sim.schedule(2.0, ran.append, "dead"))
@@ -324,18 +271,18 @@ class TestCancelledEventAccounting:
         assert ran == ["a"]
         assert sim.now == pytest.approx(10.0)
 
-    def test_clock_advance_sees_through_cancelled_timer(self, make_sim):
-        sim = make_sim()
+    def test_clock_advance_sees_through_cancelled_timer(self):
+        sim = Simulator()
         ran = []
         sim.schedule(1e-6, ran.append, "a")
-        sim.cancel(sim.set_timer(5e-3, ran.append, "dead-timer"))
+        sim.cancel(sim.schedule(5e-3, ran.append, "dead-timer"))
         sim.run(until=1.0)
         assert ran == ["a"]
         # The only remaining entry is a cancelled timer: advance to `until`.
         assert sim.now == pytest.approx(1.0)
 
-    def test_max_events_not_consumed_by_heavy_tombstone_interleaving(self, make_sim):
-        sim = make_sim()
+    def test_max_events_not_consumed_by_heavy_tombstone_interleaving(self):
+        sim = Simulator()
         ran = []
         # 3 tombstones per live event: the valve must still admit exactly
         # max_events *executed* events, not stop early on discards.
@@ -347,8 +294,8 @@ class TestCancelledEventAccounting:
         assert ran == [0, 1, 2, 3, 4, 5]
         assert sim.events_processed == 6
 
-    def test_resume_after_max_events_continues_exactly(self, make_sim):
-        sim = make_sim()
+    def test_resume_after_max_events_continues_exactly(self):
+        sim = Simulator()
         ran = []
         for i in range(10):
             sim.schedule(i * 1e-6, ran.append, i)
@@ -366,28 +313,20 @@ class TestCancelledEventAccounting:
 class TestMassCancellationMemory:
     """The set-then-cancel churn must not grow memory without bound."""
 
-    def test_mass_cancellation_is_compacted(self, make_sim):
-        sim = make_sim()
+    def test_mass_cancellation_is_compacted(self):
+        sim = Simulator()
         total = 4 * _COMPACT_MIN_SIZE
         # Set-then-cancel churn (the transports' RTO pattern): the pending
-        # population must stay bounded by the compaction/sweep watermark
-        # instead of growing with every tombstone ever scheduled.
+        # population must stay bounded by the compaction watermark instead
+        # of growing with every tombstone ever scheduled.
         for i in range(total):
             sim.cancel(sim.schedule(1e-3 + i * 1e-9, lambda: None))
         assert sim.pending_events <= _COMPACT_MIN_SIZE
         # Every tombstone is either compacted away (counted) or still queued.
         assert sim.events_cancelled + sim.pending_events == total
 
-    def test_mass_timer_cancellation_is_compacted(self, make_sim):
-        sim = make_sim()
-        total = 4 * _COMPACT_MIN_SIZE
-        for i in range(total):
-            sim.cancel(sim.set_timer(10e-3 + i * 1e-9, lambda: None))
-        assert sim.pending_events <= _COMPACT_MIN_SIZE
-        assert sim.events_cancelled + sim.pending_events == total
-
-    def test_compaction_preserves_order_and_results(self, make_sim):
-        sim = make_sim()
+    def test_compaction_preserves_order_and_results(self):
+        sim = Simulator()
         ran = []
         live = []
         for i in range(5000):
@@ -399,294 +338,3 @@ class TestMassCancellationMemory:
         sim.run_until_idle()
         assert ran == live
         assert sim.events_processed == len(live)
-
-
-class TestCalendarStructure:
-    """Calendar-core specifics: window rotation, overflow band, wheel."""
-
-    def test_past_window_events_land_in_upper_levels(self):
-        # 8 buckets x 1us window: events at 100..140us fall past the level-0
-        # window but inside the upper levels' horizons, so the hierarchy --
-        # not the far-future heap -- absorbs them, and they cascade back
-        # down in exact time order.
-        sim = Simulator(queue="calendar", bucket_width_s=1e-6, num_buckets=8)
-        ran = []
-        for i in range(40, 0, -1):
-            sim.schedule(100e-6 + i * 1e-6, ran.append, i)
-        assert sum(sim._hi_counts) == 40
-        assert not sim._overflow
-        sim.run_until_idle()
-        assert ran == list(range(1, 41))
-
-    def test_single_level_keeps_legacy_overflow_band(self):
-        # num_levels=1 is the pre-hierarchy calendar: everything past the
-        # one window parks in the overflow heap and migrates at rebase.
-        sim = Simulator(
-            queue="calendar", bucket_width_s=1e-6, num_buckets=8, num_levels=1
-        )
-        ran = []
-        for i in range(40, 0, -1):
-            sim.schedule(100e-6 + i * 1e-6, ran.append, i)
-        assert len(sim._overflow) == 40
-        sim.run_until_idle()
-        assert ran == list(range(1, 41))
-
-    def test_far_future_jump_skips_empty_windows(self):
-        sim = Simulator(queue="calendar", bucket_width_s=1e-6, num_buckets=8)
-        ran = []
-        sim.schedule(1e-6, ran.append, "near")
-        sim.schedule(3.0, ran.append, "far")   # ~3M buckets ahead
-        sim.run_until_idle()
-        assert ran == ["near", "far"]
-        assert sim.now == pytest.approx(3.0)
-
-    def test_events_within_current_bucket_insort(self):
-        sim = Simulator(queue="calendar", bucket_width_s=10e-6, num_buckets=8)
-        order = []
-
-        def first():
-            order.append("first")
-            # Absolute time 2us: lands in the *currently draining* bucket,
-            # before the pre-scheduled 2.5us event.
-            sim.schedule(1e-6, order.append, "nested")
-
-        sim.schedule(1e-6, first)
-        sim.schedule(2.5e-6, order.append, "second")
-        sim.run_until_idle()
-        assert order == ["first", "nested", "second"]
-
-    def test_wheel_slot_flush_preserves_order(self):
-        sim = Simulator(queue="calendar", wheel_slot_s=64e-6)
-        order = []
-        # Two timers in one wheel slot, scheduled out of time order.
-        sim.set_timer(130e-6, order.append, "later")
-        sim.set_timer(129e-6, order.append, "earlier")
-        sim.schedule(131e-6, order.append, "event")
-        sim.run_until_idle()
-        assert order == ["earlier", "later", "event"]
-
-    def test_timer_into_flushed_slot_becomes_regular_event(self):
-        sim = Simulator(queue="calendar", wheel_slot_s=64e-6)
-        order = []
-
-        def late_set():
-            # now == 100us: slot 1 (64..128us) has been flushed; a timer for
-            # 110us must still fire, as a regular event.
-            sim.set_timer(10e-6, order.append, "late-timer")
-
-        sim.schedule(100e-6, late_set)
-        sim.run_until_idle()
-        assert order == ["late-timer"]
-        assert sim.now == pytest.approx(110e-6)
-
-    def test_pending_events_spans_all_bands(self):
-        sim = Simulator(queue="calendar", bucket_width_s=1e-6, num_buckets=8)
-        sim.schedule(1e-6, lambda: None)     # bucket
-        sim.schedule(1e-3, lambda: None)     # overflow band
-        sim.set_timer(320e-6, lambda: None)  # wheel
-        assert sim.pending_events == 3
-        sim.run_until_idle()
-        assert sim.pending_events == 0
-        assert sim.events_processed == 3
-
-    def test_sweep_then_rebase_does_not_resurrect_stale_bucket_heads(self):
-        # Regression: a sweep that empties a bucket used to leave its index
-        # in the occupied-bucket heads heap; after a window rebase a later
-        # bucket aliasing the same slot (mod num_buckets) could then be
-        # loaded under the stale (smaller) index, executing far-future
-        # events early and driving the clock backwards.
-        sim = Simulator(queue="calendar", bucket_width_s=1e-6, num_buckets=256)
-        from repro.sim.engine import _COMPACT_MIN_SIZE
-
-        # Fill bucket 10 with cancel-churn so the sweep empties it but its
-        # head entry (index 10) survives.
-        for _ in range(_COMPACT_MIN_SIZE - 1):
-            sim.cancel(sim.schedule_at(10.5e-6, lambda: None))
-        order = []
-        # 290.5us rebases the window past bucket 255; 522.5us lands in
-        # bucket 522, which aliases slot 522 & 255 == 10.
-        sim.schedule_at(522.5e-6, order.append, "late")
-        sim.schedule_at(290.5e-6, order.append, "early")
-        times = []
-        sim.schedule_at(522.5e-6, lambda: times.append(sim.now))
-        sim.schedule_at(290.5e-6, lambda: times.append(sim.now))
-        sim.run_until_idle()
-        assert order == ["early", "late"]
-        assert times == sorted(times)
-
-    def test_invalid_tuning_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(queue="calendar", bucket_width_s=0.0)
-        with pytest.raises(ValueError):
-            Simulator(queue="calendar", wheel_slot_s=-1e-6)
-        with pytest.raises(ValueError):
-            Simulator(queue="calendar", num_buckets=0)
-
-
-class TestHierarchicalCalendar:
-    """Multi-level specifics: cascade, per-level cancellation, rebase.
-
-    8 buckets x 1us level-0 quantum gives horizons of 8us (level 0), 64us
-    (level 1) and 512us (level 2) -- small enough that every band is easy
-    to hit deliberately.
-    """
-
-    def _sim(self, **kwargs):
-        kwargs.setdefault("queue", "calendar")
-        kwargs.setdefault("bucket_width_s", 1e-6)
-        kwargs.setdefault("num_buckets", 8)
-        kwargs.setdefault("num_levels", 3)
-        return Simulator(**kwargs)
-
-    def test_insertion_routes_to_the_right_band(self):
-        sim = self._sim()
-        sim.schedule(2e-6, lambda: None)      # level 0
-        sim.schedule(20e-6, lambda: None)     # level 1
-        sim.schedule(100e-6, lambda: None)    # level 2
-        sim.schedule(1e-3, lambda: None)      # beyond level 2: far future
-        assert sim._num_bucketed == 1
-        assert sim._hi_counts[1] == 1
-        assert sim._hi_counts[2] == 1
-        assert len(sim._overflow) == 1
-        assert sim.pending_events == 4
-        sim.run_until_idle()
-        assert sim.events_processed == 4
-        assert sim.pending_events == 0
-
-    def test_cascade_preserves_order_across_levels(self):
-        sim = self._sim()
-        ran = []
-        # Interleave events whose initial homes span all three levels plus
-        # the far-future band; execution must still be globally sorted.
-        times = [2e-6, 20e-6, 100e-6, 1e-3, 5e-6, 60e-6, 400e-6, 2e-3]
-        for t in times:
-            sim.schedule(t, ran.append, t)
-        sim.run_until_idle()
-        assert ran == sorted(times)
-
-    def test_cascade_observed_mid_run(self):
-        sim = self._sim()
-        seen = {}
-        # 100..140us all start in level 2 (their level-1 indices are past
-        # level 1's initial window); by the time the first one executes, the
-        # chain level2 -> level1 -> level0 must have partially drained the
-        # top while leaving later slots up there.
-        for i in range(41):
-            sim.schedule(100e-6 + i * 1e-6, lambda: None)
-
-        def probe():
-            seen["counts"] = (sim._num_bucketed, sim._hi_counts[1], sim._hi_counts[2])
-
-        assert sim._hi_counts[2] == 41
-        sim.schedule(100e-6, probe)
-        sim.run_until_idle()
-        bucketed, lvl1, lvl2 = seen["counts"]
-        assert lvl2 > 0, "level 2 should still hold the far slots"
-        assert lvl1 > 0, "level 1 should hold the cascaded middle"
-        assert sim.events_processed == 42
-
-    def test_cancellation_discards_at_every_level(self):
-        sim = self._sim()
-        ran = []
-        victims = [
-            sim.schedule(2e-6, ran.append, "l0"),       # level-0 bucket
-            sim.schedule(20e-6, ran.append, "l1"),      # level 1
-            sim.schedule(100e-6, ran.append, "l2"),     # level 2
-            sim.schedule(1e-3, ran.append, "far"),      # far-future heap
-            sim.set_timer(200e-6, ran.append, "wheel"),  # timer wheel
-        ]
-        for victim in victims:
-            sim.cancel(victim)
-        sim.schedule(2e-3, ran.append, "end")
-        sim.run_until_idle()
-        assert ran == ["end"]
-        assert sim.events_cancelled == 5
-        assert sim.events_scheduled == (
-            sim.events_processed + sim.events_cancelled + sim.pending_events
-        )
-
-    def test_rebase_places_far_events_directly_at_their_level(self):
-        sim = self._sim()
-        seen = {}
-
-        def probe():
-            seen["state"] = (
-                sim._num_bucketed,
-                sim._hi_counts[1],
-                sim._hi_counts[2],
-                len(sim._overflow),
-            )
-
-        # All four start in the far-future heap (past level 2's initial
-        # horizon).  The rebase onto the 1000us head must distribute each
-        # directly: head+5us to level 0, head+70us past the rebased level-1
-        # window into level 2, and 10s stays in the heap.
-        sim.schedule(1000e-6, probe)
-        sim.schedule(1005e-6, lambda: None)
-        sim.schedule(1070e-6, lambda: None)
-        sim.schedule(10.0, lambda: None)
-        assert len(sim._overflow) == 4
-        sim.run_until_idle()
-        bucketed, lvl1, lvl2, far = seen["state"]
-        assert bucketed == 1      # 1005us, in its own level-0 bucket
-        assert lvl2 == 1          # 1070us went straight to level 2
-        assert far == 1           # 10s is genuinely far-future
-        assert sim.events_processed == 4
-        assert sim.now == pytest.approx(10.0)
-
-    def test_order_identity_across_level_counts(self):
-        # The level count is a pure structure knob: 1, 2 and 3 levels must
-        # execute one mixed-horizon stream in the identical order.
-        def drive(num_levels):
-            sim = Simulator(
-                queue="calendar",
-                bucket_width_s=1e-6,
-                num_buckets=8,
-                num_levels=num_levels,
-            )
-            order = []
-            for i in range(60):
-                t = (i * 37 % 11) * 53e-6 + i * 1e-7
-                sim.schedule(t, order.append, (round(t * 1e9), i))
-                if i % 3 == 0:
-                    dead = sim.set_timer(t + 400e-6, order.append, ("dead", i))
-                    sim.cancel(dead)
-            sim.run_until_idle()
-            return order, sim.events_processed, sim.events_cancelled
-
-        reference = drive(1)
-        assert drive(2) == reference
-        assert drive(3) == reference
-
-    def test_invalid_num_levels_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(queue="calendar", num_levels=0)
-
-    @pytest.mark.parametrize("num_levels", [1, 3])
-    def test_wheel_flush_at_exact_slot_boundary(self, num_levels):
-        # A timer whose due time is exactly a wheel-slot boundary, with
-        # every calendar band empty, forces the wheel-only flush branch.
-        # Judging due-ness via int(time * inv_wheel) can round one slot
-        # low at such boundaries (slot/inv * inv round-trips below slot),
-        # leaving the due head unflushed and the engine spinning; the
-        # flush must use the same division that computed the deadline.
-        sim = Simulator(queue="calendar", num_levels=num_levels)
-        inv = sim._inv_wheel
-        slot = next(
-            s for s in range(1, 1_000_000) if int((s / inv) * inv) < s
-        )
-        ran = []
-        sim.set_timer_at(slot / inv, ran.append, "boundary")
-        sim.run_until_idle()
-        assert ran == ["boundary"]
-        assert sim.pending_events == 0
-
-
-class TestHeapCompaction:
-    def test_mass_cancellation_compacts_the_heap(self):
-        sim = Simulator(queue="heap")
-        total = 4 * _COMPACT_MIN_SIZE
-        for i in range(total):
-            sim.cancel(sim.schedule(1e-3 + i * 1e-9, lambda: None))
-        assert sim.pending_events <= _COMPACT_MIN_SIZE
-        assert sim.events_cancelled + sim.pending_events == total

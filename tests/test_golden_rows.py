@@ -1,6 +1,6 @@
-"""Golden row pins: absolute behaviour, not agreement between cores.
+"""Golden row pins: the simulator's absolute behaviour.
 
-``tests/golden/rows.json`` holds, for every registered scenario at seed 1
+``tests/golden/rows.json`` holds, for every built-in scenario at seed 1
 with 20 flows per cell, each cell's ``events_processed`` and the SHA-256 of
 its canonical ``ResultRow`` JSON.  Any change to the simulated physics, to a
 digest payload or to the engine's event count shows up here.  Re-record with
@@ -8,9 +8,17 @@ digest payload or to the engine's event count shows up here.  Re-record with
 review the diff.
 """
 
+import ast
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+import repro
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -22,32 +30,43 @@ def _make_golden():
     return module
 
 
-def test_every_cell_matches_its_golden_pin():
-    make_golden = _make_golden()
-    expected = json.loads(make_golden.ROWS.read_text())
-    actual = make_golden.compute_pins()
-    assert sorted(actual) == sorted(expected), "registered scenarios changed"
-    mismatched = [
-        f"{name}: {label}: {expected[name].get(label)} -> {pin}"
-        for name, cells in actual.items()
-        for label, pin in cells.items()
-        if expected[name].get(label) != pin
-    ]
-    missing = [
-        f"{name}: {label}"
-        for name, cells in expected.items()
-        for label in cells
-        if label not in actual[name]
-    ]
-    assert not mismatched and not missing, "\n".join(
-        ["golden rows differ:"] + mismatched + [f"missing {cell}" for cell in missing]
-    )
+MAKE_GOLDEN = _make_golden()
+PINS = json.loads(MAKE_GOLDEN.ROWS.read_text())
+PINNED_CELLS = [(name, label) for name in sorted(PINS) for label in sorted(PINS[name])]
 
 
-def test_golden_file_is_canonical():
-    make_golden = _make_golden()
-    text = make_golden.ROWS.read_text()
-    assert make_golden.dumps(json.loads(text)) == text
+def test_every_pinned_scenario_has_exactly_its_pinned_cells():
+    differ = {}
+    for name in sorted(PINS):
+        labels = set(MAKE_GOLDEN.golden_configs(name))
+        if labels != set(PINS[name]):
+            differ[name] = {
+                "unpinned": sorted(labels - set(PINS[name])),
+                "gone": sorted(set(PINS[name]) - labels),
+            }
+    assert not differ, f"cells differ from the golden pins: {differ}"
+
+
+@pytest.mark.parametrize(
+    "name,label", PINNED_CELLS, ids=[f"{name}/{label}" for name, label in PINNED_CELLS]
+)
+def test_every_cell_matches_its_golden_pin(name, label):
+    config = MAKE_GOLDEN.golden_configs(name).get(label)
+    assert config is not None, f"{name}: {label}: pinned cell is no longer produced"
+    assert MAKE_GOLDEN.cell_pin(label, config) == PINS[name][label]
+
+
+def test_every_builtin_scenario_is_pinned():
+    # A fresh interpreter: other tests register scenarios of their own.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    listed = subprocess.run(
+        [sys.executable, "-c", "from repro.api import list_scenarios; print(list_scenarios())"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    builtin = ast.literal_eval(listed.strip())
+    assert sorted(builtin) == sorted(PINS)
+
 
 
 def test_pins_ignore_a_last_bit_float_difference():
@@ -57,4 +76,4 @@ def test_pins_ignore_a_last_bit_float_difference():
     for _ in range(10):
         naive += 0.1
     assert naive != 1.0
-    assert _make_golden().canonical({"avg": [naive], "n": 10}) == {"avg": [1.0], "n": 10}
+    assert MAKE_GOLDEN.canonical({"avg": [naive], "n": 10}) == {"avg": [1.0], "n": 10}

@@ -6,9 +6,9 @@ Two layers:
   receivers, RDMA placement, statistics, workload distributions.
 * **Whole-simulation invariants** (hypothesis over fuzz seeds): every
   generated case -- arbitrary topology, workload and fault schedule from
-  :mod:`repro.verify` -- must satisfy the invariant contract on *both*
-  engine cores (see ``docs/architecture.md``).  Each invariant gets its own
-  test so a violation names the property, not just the seed.
+  :mod:`repro.verify` -- must satisfy the invariant contract (see
+  ``docs/architecture.md``).  Each invariant gets its own test so a
+  violation names the property, not just the seed.
 
 The fuzz layer keeps ``max_examples`` small: this is tier-1's fast smoke
 slice.  CI's dedicated fuzz job (``python -m repro.verify``) runs the same
@@ -38,8 +38,6 @@ from repro.sim.engine import Simulator
 from repro.sim.packet import Packet, PacketType
 from repro.verify import FuzzCase, check_case, known_bad_case, run_case
 from repro.workload.distributions import HeavyTailedSizes, UniformSizes
-
-ENGINE_CORES = ("calendar", "heap")
 
 
 # ---------------------------------------------------------------------------
@@ -201,35 +199,32 @@ FUZZ_SETTINGS = dict(deadline=None, max_examples=8, derandomize=True)
 
 
 @lru_cache(maxsize=256)
-def _fuzz_outcome(seed, queue):
-    """One execution per (seed, core), shared by every invariant test."""
-    return FuzzCase.generate(seed), run_case(FuzzCase.generate(seed), queue=queue)
+def _fuzz_outcome(seed):
+    """One execution per seed, shared by every invariant test."""
+    return FuzzCase.generate(seed), run_case(FuzzCase.generate(seed))
 
 
-@pytest.mark.parametrize("queue", ENGINE_CORES)
 @settings(**FUZZ_SETTINGS)
 @given(seed=fuzz_seeds)
-def test_fuzz_clock_is_monotone(queue, seed):
-    _, outcome = _fuzz_outcome(seed, queue)
+def test_fuzz_clock_is_monotone(seed):
+    _, outcome = _fuzz_outcome(seed)
     times = [time for time, _ in outcome.trace]
     assert times == sorted(times)
 
 
-@pytest.mark.parametrize("queue", ENGINE_CORES)
 @settings(**FUZZ_SETTINGS)
 @given(seed=fuzz_seeds)
-def test_fuzz_event_accounting_identity(queue, seed):
-    _, outcome = _fuzz_outcome(seed, queue)
+def test_fuzz_event_accounting_identity(seed):
+    _, outcome = _fuzz_outcome(seed)
     assert outcome.events_scheduled == (
         outcome.events_processed + outcome.events_cancelled + outcome.pending_events
     )
 
 
-@pytest.mark.parametrize("queue", ENGINE_CORES)
 @settings(**FUZZ_SETTINGS)
 @given(seed=fuzz_seeds)
-def test_fuzz_lossless_ports_never_drop(queue, seed):
-    case, outcome = _fuzz_outcome(seed, queue)
+def test_fuzz_lossless_ports_never_drop(seed):
+    case, outcome = _fuzz_outcome(seed)
     if case.pfc_enabled:
         # Fault drops count: the fuzzer never aims packet-touching faults
         # at a lossless fabric, so both counters must stay zero.
@@ -238,11 +233,10 @@ def test_fuzz_lossless_ports_never_drop(queue, seed):
         assert outcome.fault_drops >= 0
 
 
-@pytest.mark.parametrize("queue", ENGINE_CORES)
 @settings(**FUZZ_SETTINGS)
 @given(seed=fuzz_seeds)
-def test_fuzz_packet_conservation_at_drain(queue, seed):
-    _, outcome = _fuzz_outcome(seed, queue)
+def test_fuzz_packet_conservation_at_drain(seed):
+    _, outcome = _fuzz_outcome(seed)
     if not outcome.drained:
         pytest.skip("run hit the event valve; conservation needs full drain")
     assert outcome.packets_committed == (
@@ -253,36 +247,19 @@ def test_fuzz_packet_conservation_at_drain(queue, seed):
     )
 
 
-@pytest.mark.parametrize("queue", ENGINE_CORES)
 @settings(**FUZZ_SETTINGS)
 @given(seed=fuzz_seeds)
-def test_fuzz_per_qp_delivery_order_preserved(queue, seed):
-    _, outcome = _fuzz_outcome(seed, queue)
+def test_fuzz_per_qp_delivery_order_preserved(seed):
+    _, outcome = _fuzz_outcome(seed)
     assert outcome.ordering_violations == []
 
 
-@pytest.mark.parametrize("queue", ENGINE_CORES)
 @settings(**FUZZ_SETTINGS)
 @given(seed=fuzz_seeds)
-def test_fuzz_completions_are_sane(queue, seed):
-    _, outcome = _fuzz_outcome(seed, queue)
+def test_fuzz_completions_are_sane(seed):
+    _, outcome = _fuzz_outcome(seed)
     assert outcome.flows_completed <= outcome.flows_total
     assert outcome.completions_recorded == outcome.flows_completed
-
-
-@settings(**FUZZ_SETTINGS)
-@given(seed=fuzz_seeds)
-def test_fuzz_calendar_and_heap_execute_identical_orders(seed):
-    _, calendar = _fuzz_outcome(seed, "calendar")
-    _, heap = _fuzz_outcome(seed, "heap")
-    assert calendar.trace == heap.trace
-    assert calendar.events_scheduled == heap.events_scheduled
-    assert calendar.events_processed == heap.events_processed
-    assert calendar.packets_delivered == heap.packets_delivered
-    assert calendar.switch_drops == heap.switch_drops
-    assert calendar.fault_drops == heap.fault_drops
-    assert calendar.deadlock_events == heap.deadlock_events
-    assert calendar.time_to_deadlock_s == heap.time_to_deadlock_s
 
 
 def test_known_bad_case_is_caught_by_losslessness_invariant():

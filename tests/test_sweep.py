@@ -1,7 +1,9 @@
 """Tests for the parallel sweep subsystem (grid, cache, runner, aggregation)."""
 
+import gc
 import os
 import pickle
+import weakref
 
 import pytest
 
@@ -17,9 +19,11 @@ from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import (
     ParameterGrid,
     ResultCache,
+    _run_cell,
     aggregate_rows,
     run_sweep,
 )
+from repro.sim.engine import Simulator
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -200,6 +204,22 @@ class TestRunSweep:
 
         with pytest.raises(ValueError, match="duplicate"):
             run_sweep(MultiMapping(), workers=1)
+
+    def test_run_cell_releases_the_simulator(self):
+        """A finished cell's simulator/fabric cycle must not outlive the
+        cell, or a long serial sweep's memory climbs cell after cell."""
+        gc.collect()
+        earlier = weakref.WeakSet(
+            obj for obj in gc.get_objects() if isinstance(obj, Simulator)
+        )
+        row = _run_cell(("tiny", tiny_config(seed=1)))
+        assert row.label == "tiny"
+        alive = [
+            obj
+            for obj in gc.get_objects()
+            if isinstance(obj, Simulator) and obj not in earlier
+        ]
+        assert alive == []
 
 
 class TestResultCache:
