@@ -95,6 +95,8 @@ class Simulator:
         return self._push(time, fn, args)
 
     def _push(self, time: float, fn: Callable[..., None], args: tuple) -> Event:
+        # ``OutputPort._start_batch`` (sim/link.py) inlines this for packet
+        # arrivals, the engine's most frequent event; keep the two in step.
         seq = next(self._seq)
         event = Event(time, fn, args)
         self._events_scheduled += 1

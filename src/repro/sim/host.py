@@ -24,6 +24,10 @@ from repro.sim.packet import Packet, PacketType
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
+_DATA = PacketType.DATA
+_PFC_PAUSE = PacketType.PFC_PAUSE
+_PFC_RESUME = PacketType.PFC_RESUME
+
 
 class SenderQP(Protocol):
     """Transmit side of a flow, as seen by the host NIC."""
@@ -181,21 +185,22 @@ class Host:
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, link: Link) -> None:
         """Dispatch an arriving frame to the right QP."""
-        if packet.is_pfc():
-            if self.uplink_port is not None:
-                if packet.ptype is PacketType.PFC_PAUSE:
-                    self.uplink_port.pause()
-                else:
-                    self.uplink_port.resume()
-            return
-
-        if packet.ptype is PacketType.DATA:
+        ptype = packet.ptype
+        if ptype is _DATA:
             self.data_packets_received += 1
             receiver = self._receivers.get(packet.flow_id)
             if receiver is None:
                 return
             for response in receiver.on_data(packet, self.sim.now):
                 self.enqueue_control(response)
+            return
+
+        if ptype is _PFC_PAUSE or ptype is _PFC_RESUME:
+            if self.uplink_port is not None:
+                if ptype is _PFC_PAUSE:
+                    self.uplink_port.pause()
+                else:
+                    self.uplink_port.resume()
             return
 
         # ACK / NACK / CNP addressed to one of our senders.

@@ -22,18 +22,24 @@ unbatched model; only the pull *decision points* are coarser.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional, Protocol
 
+from repro.sim.engine import Event
 from repro.sim.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.engine import Event, Simulator
+    from repro.sim.engine import Simulator
 
 #: Maximum packets an :class:`OutputPort` commits to the wire per pull.  The
 #: PFC headroom budget (:func:`repro.sim.pfc.headroom_for_link`) absorbs one
 #: full batch in flight after a pause frame lands, so these two constants
 #: move together.
 DEFAULT_PORT_BATCH = 4
+
+#: Builds an :class:`~repro.sim.engine.Event` without running its
+#: ``__init__`` frame; the departure loop fills the slots itself.
+_new_event = object.__new__
 
 
 class PacketSource(Protocol):
@@ -149,7 +155,12 @@ class OutputPort:
         self.paused = False
 
         self._free_at = 0.0
-        self._pull_event: Optional["Event"] = None
+        self._pull_event: Optional[Event] = None
+        #: Bytes queued for this port across the source switch's VOQs, and
+        #: the switch's round-robin position over its input ports.  Owned
+        #: by the :class:`~repro.sim.switch.Switch` that sources the port.
+        self.queued_bytes = 0
+        self.rr_index = 0
 
         # Statistics
         self.pause_count = 0
@@ -235,10 +246,15 @@ class OutputPort:
         link = self.link
         sim = self.sim
         next_packet = self.source.next_packet
+        # Resolved per batch, never cached on the port: fault injection and
+        # recovery probes wrap ``node.receive`` after the network is built.
         receive = link.dst.receive
         prop = link.prop_delay_s
         bandwidth = link.bandwidth_bps
+        heap = sim._heap
+        seq = sim._seq
         free_at = now
+        busy_time = link.busy_time
         count = 0
         committed_bytes = 0
         limit = self.max_batch_packets
@@ -257,18 +273,33 @@ class OutputPort:
             # consumers (Timely, iWARP's adaptive RTO) must see the same
             # wire-start times the unbatched model produced.
             packet.sent_time = free_at
+            size = packet.size_bytes
             delay = packet.size_bits / bandwidth
-            link.busy_time += delay
-            link.bytes_sent += packet.size_bytes
-            link.packets_sent += 1
+            busy_time += delay
             free_at += delay
             # The arrival time is fixed the moment serialization is
-            # committed, so schedule it directly -- no per-packet
-            # transmit-done event.
-            sim.schedule_at(free_at + prop, receive, packet, link)
+            # committed, so push it straight onto the engine heap -- no
+            # per-packet transmit-done event and no ``schedule_at`` frame.
+            # This is ``Simulator._push`` inlined: same sequence number,
+            # same compaction check; ``events_scheduled`` is settled below.
+            arrival = free_at + prop
+            event = _new_event(Event)
+            event.time = arrival
+            event.fn = receive
+            event.args = (packet, link)
+            event.cancelled = False
+            heappush(heap, (arrival, next(seq), event))
+            if len(heap) >= sim._compact_watermark:
+                sim._compact()
             count += 1
-            committed_bytes += packet.size_bytes
+            committed_bytes += size
         if count:
+            # Link counters and the engine's tally, settled once per batch
+            # (``busy_time`` summed in the same order as per packet).
+            link.busy_time = busy_time
+            link.bytes_sent += committed_bytes
+            link.packets_sent += count
+            sim._events_scheduled += count
             self.batches_sent += 1
             self._free_at = free_at
             if limited:

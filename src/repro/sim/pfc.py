@@ -67,28 +67,3 @@ def headroom_for_link(
         batch_bytes = min(batch_bytes, port_batch_bytes + mtu_bytes)
     in_flight = 2.0 * bandwidth_bps * prop_delay_s / 8.0
     return int(in_flight + 2 * batch_bytes + mtu_bytes + 64)
-
-
-class PfcState:
-    """Tracks pause state and statistics for one input port."""
-
-    def __init__(self) -> None:
-        self.upstream_paused = False
-        self.pause_frames_sent = 0
-        self.resume_frames_sent = 0
-
-    def should_pause(self, occupancy: int, threshold: int) -> bool:
-        """True when an X-OFF frame must be sent for the current occupancy."""
-        return not self.upstream_paused and occupancy >= threshold
-
-    def should_resume(self, occupancy: int, threshold: int) -> bool:
-        """True when an X-ON frame must be sent for the current occupancy."""
-        return self.upstream_paused and occupancy < threshold
-
-    def mark_paused(self) -> None:
-        self.upstream_paused = True
-        self.pause_frames_sent += 1
-
-    def mark_resumed(self) -> None:
-        self.upstream_paused = False
-        self.resume_frames_sent += 1

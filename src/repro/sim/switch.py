@@ -18,15 +18,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.link import Link, OutputPort
 from repro.sim.packet import Packet, PacketType
-from repro.sim.pfc import PfcConfig, PfcState
+from repro.sim.pfc import PfcConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
     from repro.sim.routing import Routing
+
+_DATA = PacketType.DATA
+_PFC_PAUSE = PacketType.PFC_PAUSE
+_PFC_RESUME = PacketType.PFC_RESUME
 
 
 @dataclass
@@ -55,29 +59,27 @@ class SwitchConfig:
 
 
 class _InputPort:
-    """Buffer and VOQs for one incoming link."""
+    """Buffer, VOQs and upstream pause state for one incoming link."""
 
     def __init__(self, link: Link, buffer_bytes: int, pfc_config: PfcConfig) -> None:
         self.link = link
         self.buffer_bytes = buffer_bytes
         self.occupancy = 0
+        #: One VOQ per output port, created by the first packet queued for it.
         self.voqs: Dict[OutputPort, Deque[Packet]] = {}
-        self.pfc = PfcState()
+        #: True between the X-OFF and the X-ON this port sent upstream.
+        self.upstream_paused = False
         # Thresholds are pure functions of the (fixed) buffer size; computed
         # once here instead of per received packet.
         self.pause_threshold = pfc_config.pause_threshold(buffer_bytes)
         self.resume_threshold = pfc_config.resume_threshold(buffer_bytes)
 
-    def voq(self, port: OutputPort) -> Deque[Packet]:
-        queue = self.voqs.get(port)
-        if queue is None:
-            queue = deque()
-            self.voqs[port] = queue
-        return queue
-
 
 class Switch:
-    """An input-queued switch."""
+    """An input-queued switch.
+
+    The PFC and ECN settings of ``config`` are read once, at construction.
+    """
 
     def __init__(
         self,
@@ -89,13 +91,16 @@ class Switch:
         self.sim = sim
         self.name = name
         self.config = config or SwitchConfig()
-        self.routing = routing
+        self._pfc_enabled = self.config.pfc.enabled
+        self._ecn: Optional[EcnConfig] = self.config.ecn if self.config.ecn.enabled else None
 
         self.output_ports: Dict[str, OutputPort] = {}   # neighbor name -> port
         self.input_ports: Dict[Link, _InputPort] = {}   # incoming link -> input port
         self._in_port_list: List[_InputPort] = []       # stable scan order for RR
-        self._rr_pointer: Dict[OutputPort, int] = {}    # round-robin state
-        self._out_queue_bytes: Dict[OutputPort, int] = {}
+        #: Forwarding table ``(dst, flow_id) -> OutputPort``, filled from the
+        #: routing on a miss when the routing is per-flow.
+        self._fib: Dict[Tuple[str, int], OutputPort] = {}
+        self.routing = routing
 
         # Statistics
         self.packets_forwarded = 0
@@ -110,6 +115,19 @@ class Switch:
         #: packet -- the §4.4 congestion-spreading queue-depth distribution.
         self.queue_depth_digest = None
 
+    @property
+    def routing(self) -> Optional["Routing"]:
+        """The routing strategy; assigning it clears the forwarding table."""
+        return self._routing
+
+    @routing.setter
+    def routing(self, routing: Optional["Routing"]) -> None:
+        self._routing = routing
+        self._fib.clear()
+        # Only a per-flow choice may be remembered: a per-packet strategy
+        # (spraying) must be asked again for every packet.
+        self._fib_per_flow = routing is not None and routing.per_flow
+
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
@@ -117,8 +135,6 @@ class Switch:
         """Attach an outgoing link; returns the created output port."""
         port = OutputPort(self.sim, link, source=self)
         self.output_ports[link.dst.name] = port
-        self._rr_pointer[port] = 0
-        self._out_queue_bytes[port] = 0
         return port
 
     def add_input_link(self, link: Link) -> None:
@@ -140,41 +156,47 @@ class Switch:
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, link: Link) -> None:
         """Handle a frame arriving on ``link``."""
-        if packet.is_pfc():
-            self._handle_pfc(packet, link)
+        ptype = packet.ptype
+        if ptype is _PFC_PAUSE or ptype is _PFC_RESUME:
+            self._handle_pfc(ptype, link)
             return
 
         in_port = self.input_ports.get(link)
         if in_port is None:
             raise RuntimeError(f"{self.name}: packet arrived on unregistered link {link.name}")
 
-        next_hop = self._next_hop(packet)
-        out_port = self.output_ports.get(next_hop)
+        out_port = self._fib.get((packet.dst, packet.flow_id))
         if out_port is None:
-            raise RuntimeError(f"{self.name}: no port towards {next_hop} for {packet}")
+            out_port = self._route(packet)
 
-        if in_port.occupancy + packet.size_bytes > in_port.buffer_bytes:
+        size = packet.size_bytes
+        occupancy = in_port.occupancy + size
+        if occupancy > in_port.buffer_bytes:
             # Buffer overrun.  With correctly-configured PFC this should not
             # happen; without PFC this is a normal congestion drop.
             self.packets_dropped += 1
-            self.bytes_dropped += packet.size_bytes
+            self.bytes_dropped += size
             return
 
-        if self.config.ecn.enabled:
-            self._maybe_mark_ecn(packet, out_port)
+        if self._ecn is not None and ptype is _DATA:
+            self._mark_ecn(packet, out_port.queued_bytes)
 
-        in_port.voq(out_port).append(packet)
-        in_port.occupancy += packet.size_bytes
-        self._out_queue_bytes[out_port] += packet.size_bytes
+        voqs = in_port.voqs
+        queue = voqs.get(out_port)
+        if queue is None:
+            queue = voqs[out_port] = deque()
+        queue.append(packet)
+        in_port.occupancy = occupancy
+        out_port.queued_bytes += size
 
         if self.queue_depth_digest is not None:
-            self.queue_depth_digest.add(in_port.occupancy)
+            self.queue_depth_digest.add(occupancy)
 
-        if self.config.pfc.enabled:
-            if in_port.pfc.should_pause(in_port.occupancy, in_port.pause_threshold):
-                in_port.pfc.mark_paused()
-                self.pause_frames_sent += 1
-                self._send_pfc(link, PacketType.PFC_PAUSE)
+        # X-OFF once the occupancy reaches the pause threshold.
+        if occupancy >= in_port.pause_threshold and self._pfc_enabled and not in_port.upstream_paused:
+            in_port.upstream_paused = True
+            self.pause_frames_sent += 1
+            self._send_pfc(link, _PFC_PAUSE)
 
         out_port.kick()
 
@@ -183,32 +205,36 @@ class Switch:
     # ------------------------------------------------------------------
     def next_packet(self, port: OutputPort) -> Optional[Packet]:
         """Round-robin over input ports with traffic queued for ``port``."""
-        if not self._out_queue_bytes[port]:
+        if not port.queued_bytes:
             # Nothing queued for this output anywhere: O(1) miss.  Departure
             # batching probes until the source runs dry, so misses are as
             # frequent as batches and must not scan every input port.
             return None
         in_ports = self._in_port_list
-        if not in_ports:
-            return None
-        start = self._rr_pointer.get(port, 0) % len(in_ports)
-        for offset in range(len(in_ports)):
-            idx = (start + offset) % len(in_ports)
+        count = len(in_ports)
+        idx = port.rr_index
+        for _ in range(count):
             in_port = in_ports[idx]
+            idx += 1
+            if idx == count:
+                idx = 0
             queue = in_port.voqs.get(port)
             if queue:
                 packet = queue.popleft()
-                in_port.occupancy -= packet.size_bytes
-                self._out_queue_bytes[port] -= packet.size_bytes
-                self._rr_pointer[port] = idx + 1
+                size = packet.size_bytes
+                occupancy = in_port.occupancy - size
+                in_port.occupancy = occupancy
+                port.queued_bytes -= size
+                port.rr_index = idx
                 self.packets_forwarded += 1
-                self._maybe_resume(in_port)
+                # X-ON once the occupancy drops strictly below the resume
+                # threshold (only a paused port has anything to resume).
+                if in_port.upstream_paused and occupancy < in_port.resume_threshold:
+                    in_port.upstream_paused = False
+                    self.resume_frames_sent += 1
+                    self._send_pfc(in_port.link, _PFC_RESUME)
                 return packet
         return None
-
-    def queued_bytes_for_output(self, port: OutputPort) -> int:
-        """Bytes currently queued (across all inputs) for ``port``."""
-        return self._out_queue_bytes.get(port, 0)
 
     def total_queued_bytes(self) -> int:
         """Bytes currently buffered in the switch."""
@@ -229,16 +255,22 @@ class Switch:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _next_hop(self, packet: Packet) -> str:
-        if self.routing is None:
+    def _route(self, packet: Packet) -> OutputPort:
+        """Forwarding-table miss: ask the routing, remember per-flow answers."""
+        routing = self._routing
+        if routing is None:
             raise RuntimeError(f"{self.name}: no routing configured")
-        return self.routing.next_hop(self, packet)
+        next_hop = routing.next_hop(self, packet)
+        out_port = self.output_ports.get(next_hop)
+        if out_port is None:
+            raise RuntimeError(f"{self.name}: no port towards {next_hop} for {packet}")
+        if self._fib_per_flow:
+            self._fib[(packet.dst, packet.flow_id)] = out_port
+        return out_port
 
-    def _maybe_mark_ecn(self, packet: Packet, out_port: OutputPort) -> None:
-        ecn = self.config.ecn
-        if packet.ptype is not PacketType.DATA:
-            return
-        depth = self._out_queue_bytes[out_port]
+    def _mark_ecn(self, packet: Packet, depth: int) -> None:
+        """Mark a data packet given its output queue ``depth`` (bytes)."""
+        ecn = self._ecn
         if ecn.step_marking:
             if depth >= ecn.kmin_bytes:
                 packet.ecn = True
@@ -255,36 +287,28 @@ class Switch:
             packet.ecn = True
             self.packets_marked += 1
 
-    def _maybe_resume(self, in_port: _InputPort) -> None:
-        if not self.config.pfc.enabled:
-            return
-        if in_port.pfc.should_resume(in_port.occupancy, in_port.resume_threshold):
-            in_port.pfc.mark_resumed()
-            self.resume_frames_sent += 1
-            self._send_pfc(in_port.link, PacketType.PFC_RESUME)
-
     def _send_pfc(self, congested_link: Link, ptype: PacketType) -> None:
         """Send a pause/resume frame to the node feeding ``congested_link``."""
         upstream_name = congested_link.src.name
         reverse_port = self.output_ports.get(upstream_name)
+        if reverse_port is None:
+            # ``Network.connect`` wires both directions, so this is a wiring
+            # bug; a frame sent any other way could not reach the sender.
+            raise RuntimeError(f"{self.name}: no output port back towards {upstream_name}")
         frame = Packet(
             ptype=ptype,
             flow_id=-1,
             src=self.name,
             dst=upstream_name,
         )
-        if reverse_port is not None:
-            reverse_port.send_control_direct(frame)
-        else:  # pragma: no cover - defensive: no reverse link (one-way wiring)
-            self.sim.schedule(congested_link.prop_delay_s, congested_link.src.receive, frame, congested_link)
+        reverse_port.send_control_direct(frame)
 
-    def _handle_pfc(self, packet: Packet, link: Link) -> None:
+    def _handle_pfc(self, ptype: PacketType, link: Link) -> None:
         """Pause or resume our output port facing the pause frame's sender."""
-        sender = link.src.name
-        port = self.output_ports.get(sender)
+        port = self.output_ports.get(link.src.name)
         if port is None:  # pragma: no cover - defensive
             return
-        if packet.ptype is PacketType.PFC_PAUSE:
+        if ptype is _PFC_PAUSE:
             port.pause()
         else:
             port.resume()

@@ -1,8 +1,11 @@
-"""Tests for PFC primitives and switch-level pause behaviour."""
+"""Tests for PFC configuration and headroom sizing.
+
+The pause/resume edges are pinned through the switch in ``test_switch.py``.
+"""
 
 import pytest
 
-from repro.sim.pfc import PfcConfig, PfcState, headroom_for_link
+from repro.sim.pfc import PfcConfig, headroom_for_link
 
 
 class TestPfcConfig:
@@ -27,34 +30,6 @@ class TestPfcConfig:
 
     def test_headroom_scales_with_bandwidth(self):
         assert headroom_for_link(100e9, 2e-6) > headroom_for_link(10e9, 2e-6)
-
-
-class TestPfcState:
-    def test_pause_only_once_until_resumed(self):
-        state = PfcState()
-        assert state.should_pause(100, threshold=50)
-        state.mark_paused()
-        assert not state.should_pause(200, threshold=50)
-
-    def test_resume_only_when_paused(self):
-        state = PfcState()
-        assert not state.should_resume(0, threshold=50)
-        state.mark_paused()
-        assert state.should_resume(10, threshold=50)
-        assert not state.should_resume(60, threshold=50)
-
-    def test_frame_counters(self):
-        state = PfcState()
-        state.mark_paused()
-        state.mark_resumed()
-        state.mark_paused()
-        assert state.pause_frames_sent == 2
-        assert state.resume_frames_sent == 1
-
-    def test_below_threshold_does_not_pause(self):
-        state = PfcState()
-        assert not state.should_pause(49, threshold=50)
-        assert state.should_pause(50, threshold=50)
 
 
 class TestHeadroomWithByteCap:
