@@ -1,7 +1,10 @@
 """Record the golden row pins: for every registered scenario at seed 1 with
-20 flows per cell, each cell's ``events_processed`` and the SHA-256 of its
+20 flows per cell, each cell's ``events_processed``, the SHA-256 of its
 canonical ``ResultRow`` JSON (``events_processed`` and every digest
-included; floats at ``FLOAT_DIGITS`` significant digits).
+included; floats at ``FLOAT_DIGITS`` significant digits) and its
+``ExperimentConfig.fingerprint()`` -- the sweep-cache and work-queue key, so
+a change of config serialization that would cold every warm cache shows up
+as a moved pin.
 
 ``tests/test_golden_rows.py`` recomputes the pins and compares them.  Run
 this from the root of a checkout only after a deliberate change of the
@@ -61,17 +64,22 @@ def golden_configs(name: str) -> dict:
 
 
 def cell_pin(label: str, config) -> dict:
-    """``{"sha256", "events_processed"}`` of one cell, run from scratch."""
+    """``{"sha256", "events_processed", "fingerprint"}`` of one cell, run
+    from scratch."""
     from repro.experiments.results import ResultRow
     from repro.experiments.runner import run_experiment
 
     row = ResultRow.from_result(run_experiment(config), label=label)
-    return {"sha256": row_sha256(row), "events_processed": row.events_processed}
+    return {
+        "sha256": row_sha256(row),
+        "events_processed": row.events_processed,
+        "fingerprint": config.fingerprint(),
+    }
 
 
 def compute_pins(names: Optional[Iterable[str]] = None) -> Dict[str, Dict[str, dict]]:
-    """``scenario -> cell label -> {"sha256", "events_processed"}`` for
-    ``names`` (default: every registered scenario)."""
+    """``scenario -> cell label -> {"sha256", "events_processed",
+    "fingerprint"}`` for ``names`` (default: every registered scenario)."""
     from repro.api import list_scenarios
 
     return {

@@ -1,9 +1,11 @@
 """Golden row pins: the simulator's absolute behaviour.
 
 ``tests/golden/rows.json`` holds, for every built-in scenario at seed 1
-with 20 flows per cell, each cell's ``events_processed`` and the SHA-256 of
-its canonical ``ResultRow`` JSON.  Any change to the simulated physics, to a
-digest payload or to the engine's event count shows up here.  Re-record with
+with 20 flows per cell, each cell's ``events_processed``, the SHA-256 of its
+canonical ``ResultRow`` JSON and its ``ExperimentConfig.fingerprint()``.  Any
+change to the simulated physics, to a digest payload, to the engine's event
+count or to the config serialization behind sweep-cache and work-queue keys
+shows up here.  Re-record with
 ``python3 tests/golden/make_golden.py`` only for a deliberate change, and
 review the diff.
 """
@@ -54,6 +56,18 @@ def test_every_cell_matches_its_golden_pin(name, label):
     config = MAKE_GOLDEN.golden_configs(name).get(label)
     assert config is not None, f"{name}: {label}: pinned cell is no longer produced"
     assert MAKE_GOLDEN.cell_pin(label, config) == PINS[name][label]
+
+
+def test_every_cell_keeps_its_pinned_fingerprint():
+    # No simulation: a moved fingerprint turns every warm sweep cache and
+    # every queued task file cold, so it is named on its own.
+    moved = {
+        f"{name}/{label}": config.fingerprint()
+        for name in sorted(PINS)
+        for label, config in MAKE_GOLDEN.golden_configs(name).items()
+        if label in PINS[name] and config.fingerprint() != PINS[name][label]["fingerprint"]
+    }
+    assert not moved, f"config fingerprints moved: {moved}"
 
 
 def test_every_builtin_scenario_is_pinned():
