@@ -11,7 +11,6 @@ than going through ``run_sweep``); the retransmission comparison sums over
 the replicas.
 """
 
-from repro.core.factory import TransportKind
 from repro.experiments import scenarios
 from repro.experiments.runner import (
     _build_network,
@@ -46,9 +45,9 @@ def test_packet_spray_reordering_ablation(benchmark):
         outcomes = {"irn": [], "roce": []}
         for seed in BENCH_SEEDS:
             irn_config = scenarios.default_config(
-                TransportKind.IRN, pfc_enabled=False, num_flows=80, seed=seed)
+                "irn", pfc_enabled=False, num_flows=80, seed=seed)
             roce_config = scenarios.default_config(
-                TransportKind.ROCE, pfc_enabled=True, num_flows=80, seed=seed)
+                "roce", pfc_enabled=True, num_flows=80, seed=seed)
             outcomes["irn"].append(_run_with_spray(irn_config))
             outcomes["roce"].append(_run_with_spray(roce_config))
         return outcomes

@@ -22,7 +22,7 @@ from benchmarks.conftest import (
 
 
 def test_fig10_resilient_roce_vs_irn(benchmark):
-    base = scenarios.fig10_configs(num_flows=BENCH_FLOWS)
+    base = scenarios.scenario("fig10").configs(num_flows=BENCH_FLOWS)
     results = run_scenarios(benchmark, seed_replicas(base))
     print_metric_table("Figure 10: Resilient RoCE vs IRN, per replica", results)
     assert_all_completed(results)

@@ -22,7 +22,7 @@ from benchmarks.conftest import (
 
 
 def test_fig11_iwarp_vs_irn(benchmark):
-    base = scenarios.fig11_configs(num_flows=BENCH_FLOWS)
+    base = scenarios.scenario("fig11").configs(num_flows=BENCH_FLOWS)
     results = run_scenarios(benchmark, seed_replicas(base))
     print_metric_table("Figure 11: iWARP (TCP stack) vs IRN, per replica", results)
     assert_all_completed(results)

@@ -22,7 +22,7 @@ from benchmarks.conftest import (
 
 
 def test_fig12_worst_case_overheads(benchmark):
-    base = scenarios.fig12_configs(num_flows=BENCH_FLOWS)
+    base = scenarios.scenario("fig12").configs(num_flows=BENCH_FLOWS)
     results = run_scenarios(benchmark, seed_replicas(base))
     print_metric_table("Figure 12: IRN implementation overheads, per replica", results)
     assert_all_completed(results)

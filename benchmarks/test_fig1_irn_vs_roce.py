@@ -23,7 +23,7 @@ from benchmarks.conftest import (
 
 
 def test_fig1_irn_vs_roce(benchmark):
-    base = scenarios.fig1_configs(num_flows=BENCH_FLOWS)
+    base = scenarios.scenario("fig1").configs(num_flows=BENCH_FLOWS)
     results = run_scenarios(benchmark, seed_replicas(base))
     print_metric_table("Figure 1: IRN (no PFC) vs RoCE (PFC), per replica", results)
     assert_all_completed(results)

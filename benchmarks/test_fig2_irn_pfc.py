@@ -23,7 +23,7 @@ from benchmarks.conftest import (
 
 
 def test_fig2_enabling_pfc_with_irn(benchmark):
-    base = scenarios.fig2_configs(num_flows=BENCH_FLOWS)
+    base = scenarios.scenario("fig2").configs(num_flows=BENCH_FLOWS)
     results = run_scenarios(benchmark, seed_replicas(base))
     print_metric_table("Figure 2: IRN with vs without PFC, per replica", results)
     assert_all_completed(results)

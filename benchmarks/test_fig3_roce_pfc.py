@@ -23,7 +23,7 @@ from benchmarks.conftest import (
 def test_fig3_disabling_pfc_with_roce(benchmark):
     # Run at 90% load: the cost of go-back-N on a lossy fabric grows with
     # congestion, which is exactly the regime the paper's claim is about.
-    base = scenarios.fig3_configs(num_flows=150, target_load=0.9)
+    base = scenarios.scenario("fig3").configs(num_flows=150, target_load=0.9)
     results = run_scenarios(benchmark, seed_replicas(base))
     print_metric_table("Figure 3: RoCE with vs without PFC, per replica", results)
     assert_all_completed(results)

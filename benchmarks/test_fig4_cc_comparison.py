@@ -21,7 +21,7 @@ from benchmarks.conftest import (
 
 
 def test_fig4_irn_vs_roce_with_congestion_control(benchmark):
-    base = scenarios.fig4_configs(num_flows=BENCH_FLOWS)
+    base = scenarios.scenario("fig4").configs(num_flows=BENCH_FLOWS)
     results = run_scenarios(benchmark, seed_replicas(base))
     print_metric_table("Figure 4: IRN vs RoCE with Timely / DCQCN, per replica", results)
     assert_all_completed(results)

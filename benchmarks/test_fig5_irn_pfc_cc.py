@@ -22,7 +22,7 @@ from benchmarks.conftest import (
 
 
 def test_fig5_pfc_with_irn_under_congestion_control(benchmark):
-    base = scenarios.fig5_configs(num_flows=BENCH_FLOWS)
+    base = scenarios.scenario("fig5").configs(num_flows=BENCH_FLOWS)
     results = run_scenarios(benchmark, seed_replicas(base))
     print_metric_table("Figure 5: IRN +/- PFC with Timely / DCQCN, per replica", results)
     assert_all_completed(results)

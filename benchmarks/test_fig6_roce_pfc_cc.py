@@ -21,7 +21,7 @@ from benchmarks.conftest import (
 
 
 def test_fig6_pfc_with_roce_under_congestion_control(benchmark):
-    base = scenarios.fig6_configs(num_flows=100, target_load=0.9)
+    base = scenarios.scenario("fig6").configs(num_flows=100, target_load=0.9)
     results = run_scenarios(benchmark, seed_replicas(base))
     print_metric_table("Figure 6: RoCE +/- PFC with Timely / DCQCN, per replica", results)
     assert_all_completed(results)

@@ -25,8 +25,8 @@ from benchmarks.conftest import (
 
 
 def test_fig7_factor_analysis(benchmark):
-    base = scenarios.fig7_configs(num_flows=BENCH_FLOWS)
-    base.update(scenarios.no_sack_configs(num_flows=BENCH_FLOWS))
+    base = scenarios.scenario("fig7").configs(num_flows=BENCH_FLOWS)
+    base.update(scenarios.scenario("no_sack").configs(num_flows=BENCH_FLOWS))
     # The plain-IRN config appears in both sets; the dict merge keeps one copy.
     results = run_scenarios(benchmark, seed_replicas(base))
     print_metric_table("Figure 7: IRN factor analysis, per replica", results)

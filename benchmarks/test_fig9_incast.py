@@ -16,6 +16,11 @@ from benchmarks.conftest import BENCH_SEEDS, run_scenarios, seed_replicas
 from repro.experiments.spec import replica_label
 
 
+def _incast(fan_in, total_bytes, start_time=0.0):
+    return {"total_bytes": total_bytes, "fan_in": fan_in,
+            "destination": "h0", "start_time": start_time}
+
+
 def _replica_mean(results, label, metric):
     values = [getattr(results[replica_label(label, seed)], metric) for seed in BENCH_SEEDS]
     assert all(value is not None for value in values), label
@@ -24,12 +29,14 @@ def _replica_mean(results, label, metric):
 
 def test_fig9_incast_rct_ratio(benchmark):
     fan_ins = (5, 10)
-    configs = scenarios.fig9_configs(fan_ins=fan_ins, total_bytes=2_000_000)
+    configs = scenarios.scenario("fig9").with_rows(
+        {f"M={fan_in}": {"incast": _incast(fan_in, 2_000_000)} for fan_in in fan_ins}
+    ).configs()
     configs.update(
         {
             "cross-traffic " + label: config
-            for label, config in scenarios.incast_with_cross_traffic_configs(
-                fan_in=8, total_bytes=1_500_000, num_flows=60
+            for label, config in scenarios.scenario("incast_cross_traffic").configs(
+                incast=_incast(8, 1_500_000, start_time=1e-4), num_flows=60
             ).items()
         }
     )

@@ -15,20 +15,28 @@ Run with::
     python examples/incast_storage_workload.py
 """
 
-from repro.experiments import scenarios
+from repro.api import load_scenario as scenario
 from repro.experiments.sweep import run_sweep
 from repro.metrics.report import format_incast_table
+
+
+def incast(fan_in: int, total_bytes: int, start_time: float = 0.0) -> dict:
+    """One striped read of ``total_bytes`` from ``fan_in`` servers to h0."""
+    return {"total_bytes": total_bytes, "fan_in": fan_in,
+            "destination": "h0", "start_time": start_time}
 
 
 def main() -> None:
     # Pure incast: vary the fan-in (Figure 9's x axis).  Cross-traffic
     # scenarios ride along in the same sweep under a label prefix.
     fan_ins = (5, 10)
-    configs = scenarios.fig9_configs(fan_ins=fan_ins, total_bytes=2_000_000)
+    configs = scenario("fig9").with_rows({
+        f"M={fan_in}": {"incast": incast(fan_in, 2_000_000)} for fan_in in fan_ins
+    }).configs()
     configs.update({
         "cross-traffic " + label: config
-        for label, config in scenarios.incast_with_cross_traffic_configs(
-            fan_in=8, total_bytes=1_500_000, num_flows=80
+        for label, config in scenario("incast_cross_traffic").configs(
+            incast=incast(8, 1_500_000, start_time=1e-4), num_flows=80
         ).items()
     })
     sweep = run_sweep(configs)

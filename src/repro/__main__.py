@@ -133,6 +133,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     overrides = _parse_set_overrides(args.set or [])
     if args.flows is not None:
         overrides["num_flows"] = args.flows
+    # Build the cells once up front, so a bad override (an unknown field, a
+    # component name that is not a string) is one line, not a traceback.
+    try:
+        cells = spec.configs(**overrides)
+    except (TypeError, ValueError) as exc:
+        print(f"{spec.name}: {exc}")
+        return 2
 
     # Overriding a field the scenario sweeps as its row axis would make every
     # row run the same simulation while keeping its distinct label -- warn.
@@ -143,7 +150,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{spec.name}'s row sweep -- every row now runs the same value")
     # Names define aggregation cells; forcing one name onto >1 cell would
     # pool every scheme's replicas into a single meaningless aggregate.
-    if "name" in overrides and len(spec.configs()) > 1:
+    if "name" in overrides and len(cells) > 1:
         print("warning: --set name=... gives every cell the same name, so "
               "the per-cell aggregate table pools all of them together")
 

@@ -7,14 +7,14 @@ parameters under study.  Presets for the paper's scenarios live in
 the ``SCENARIOS`` registry).
 
 The component fields (``topology``, ``transport``, ``congestion_control``,
-``workload``) name entries in the corresponding registries
-(:data:`repro.topology.TOPOLOGIES`, :data:`repro.core.factory.TRANSPORTS`,
+``workload``) are plain strings naming entries in the corresponding
+registries (:data:`repro.topology.TOPOLOGIES`,
+:data:`repro.core.factory.TRANSPORTS`,
 :data:`repro.congestion.factory.CONGESTION_SCHEMES`,
-:data:`repro.workload.WORKLOADS`).  They accept either a plain string -- the
-open, pluggable surface -- or one of the legacy kind enums below, which are
-kept as thin aliases: a string matching an enum value is normalized to the
-enum member, and both serialize identically, so config fingerprints (and
-therefore warm sweep caches) are unaffected by which spelling a caller uses.
+:data:`repro.workload.WORKLOADS`).  Construction stores one spelling per
+component -- aliases resolve to their canonical name (``"off"`` ->
+``"none"``) and case folds like registry keys -- so every spelling of one
+component fingerprints (and therefore hits warm sweep caches) identically.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from enum import Enum
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.congestion.factory import CONGESTION_SCHEMES
-from repro.core.factory import TRANSPORTS, TransportKind
+from repro.core.factory import TRANSPORTS
 from repro.faults import FaultPlan
 from repro.sim.pfc import PfcConfig, headroom_for_link
 from repro.sim.switch import EcnConfig, SwitchConfig
@@ -42,70 +41,13 @@ from repro.workload.distributions import (
 from repro.workload.incast import IncastParams
 
 
-class CongestionControl(Enum):
-    """Congestion-control schemes evaluated in the paper.
-
-    .. deprecated::
-        Thin alias over the congestion-control registry; members resolve
-        through it via their ``.value``.  Use plain string names for schemes
-        registered outside :mod:`repro.congestion`.
-    """
-
-    NONE = "none"
-    TIMELY = "timely"
-    DCQCN = "dcqcn"
-    AIMD = "aimd"
-    DCTCP = "dctcp"
-
-
-class TopologyKind(Enum):
-    """Topology families shipped with the harness.
-
-    .. deprecated::
-        Thin alias over :data:`repro.topology.TOPOLOGIES`; members resolve
-        through the registry via their ``.value``.
-    """
-
-    FAT_TREE = "fat_tree"
-    STAR = "star"
-    DUMBBELL = "dumbbell"
-    PARKING_LOT = "parking_lot"
-
-
-class WorkloadKind(Enum):
-    """Workload families from the paper's evaluation.
-
-    .. deprecated::
-        Thin alias over :data:`repro.workload.WORKLOADS`; members resolve
-        through the registry via their ``.value``.
-    """
-
-    HEAVY_TAILED = "heavy_tailed"
-    UNIFORM = "uniform"
-    FIXED = "fixed"
-    NONE = "none"
-
-
-def _coerce_kind(value: Union[str, Enum], enum_cls, registry) -> Union[str, Enum]:
-    """Normalize a component name so every spelling of one component
-    serializes (and therefore fingerprints and aggregates) identically:
-    registry aliases resolve to their canonical name (``"off"`` ->
-    ``"none"``), case folds like registry keys, and strings matching an
-    enum value become the enum member (so identity checks like
-    ``config.transport is TransportKind.IRN`` keep working).  Unknown
-    strings -- components registered later -- pass through lowercased."""
-    if isinstance(value, (str, Enum)):
-        value = registry.canonical_name(value)
-        try:
-            return enum_cls(value)
-        except ValueError:
-            return value
-    return value
-
-
-def _kind_name(value: Union[str, Enum]) -> str:
-    """The registry name of a component field (enum member or string)."""
-    return value.value if isinstance(value, Enum) else value
+#: The component fields: each names an entry in its registry.
+_COMPONENT_FIELDS = (
+    ("topology", TOPOLOGIES),
+    ("transport", TRANSPORTS),
+    ("congestion_control", CONGESTION_SCHEMES),
+    ("workload", WORKLOADS),
+)
 
 
 #: Config fields that never influence the physics of a run *or* the cached
@@ -124,7 +66,7 @@ class ExperimentConfig:
     name: str = "default"
 
     # --- topology ---------------------------------------------------------
-    topology: Union[TopologyKind, str] = TopologyKind.FAT_TREE
+    topology: str = "fat_tree"
     fat_tree_k: int = 4
     num_hosts: int = 8            # used by star/dumbbell topologies
     #: Switches on the ``ring`` topology's cycle (the circular-dependency
@@ -160,7 +102,7 @@ class ExperimentConfig:
     port_batch_bytes: Optional[int] = None
 
     # --- transport ------------------------------------------------------------
-    transport: Union[TransportKind, str] = TransportKind.IRN
+    transport: str = "irn"
     mtu_bytes: int = 1000
     header_bytes: int = 48
     #: IRN timeouts.  ``None`` derives them with the paper's rule (§4.1):
@@ -200,10 +142,10 @@ class ExperimentConfig:
     pacing_quantum_us: float = 0.0
 
     # --- congestion control ------------------------------------------------------
-    congestion_control: Union[CongestionControl, str] = CongestionControl.NONE
+    congestion_control: str = "none"
 
     # --- workload ------------------------------------------------------------------
-    workload: Union[WorkloadKind, str] = WorkloadKind.HEAVY_TAILED
+    workload: str = "heavy_tailed"
     target_load: float = 0.7
     num_flows: int = 200
     #: Scale factor applied to the medium/large bands of the heavy-tailed mix
@@ -251,12 +193,14 @@ class ExperimentConfig:
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
-        self.topology = _coerce_kind(self.topology, TopologyKind, TOPOLOGIES)
-        self.transport = _coerce_kind(self.transport, TransportKind, TRANSPORTS)
-        self.congestion_control = _coerce_kind(
-            self.congestion_control, CongestionControl, CONGESTION_SCHEMES
-        )
-        self.workload = _coerce_kind(self.workload, WorkloadKind, WORKLOADS)
+        for field_name, registry in _COMPONENT_FIELDS:
+            value = getattr(self, field_name)
+            if not isinstance(value, str):
+                raise TypeError(
+                    f"{field_name} must be a registered {registry.kind} name "
+                    f"(a string), got {value!r}"
+                )
+            setattr(self, field_name, registry.canonical_name(value))
         if isinstance(self.incast, dict):
             self.incast = IncastParams(**self.incast)
         if isinstance(self.fault_plan, dict):
@@ -275,25 +219,6 @@ class ExperimentConfig:
             raise ValueError("ack_coalesce_us must be positive")
         if self.pacing_quantum_us < 0:
             raise ValueError("pacing_quantum_us must be >= 0 (0 disables quantization)")
-
-    # ------------------------------------------------------------------
-    # Component registry names
-    # ------------------------------------------------------------------
-    @property
-    def topology_name(self) -> str:
-        return _kind_name(self.topology)
-
-    @property
-    def transport_name(self) -> str:
-        return _kind_name(self.transport)
-
-    @property
-    def congestion_control_name(self) -> str:
-        return _kind_name(self.congestion_control)
-
-    @property
-    def workload_name(self) -> str:
-        return _kind_name(self.workload)
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -443,11 +368,11 @@ class ExperimentConfig:
         Custom registered workloads build their own flow lists; for them (and
         for ``"none"``) this returns ``None``.
         """
-        if self.workload is WorkloadKind.HEAVY_TAILED:
+        if self.workload == "heavy_tailed":
             return HeavyTailedSizes(scale=self.flow_size_scale)
-        if self.workload is WorkloadKind.UNIFORM:
+        if self.workload == "uniform":
             return UniformSizes(self.uniform_low_bytes, self.uniform_high_bytes)
-        if self.workload is WorkloadKind.FIXED:
+        if self.workload == "fixed":
             return FixedSizes(self.fixed_size_bytes)
         return None
 
@@ -465,9 +390,8 @@ class ExperimentConfig:
 
         Unlike :meth:`to_canonical_dict` this keeps the non-physical fields
         (``name`` binds the aggregation cell on the rebuilt side) and
-        preserves declaration order.  Enums collapse to their string values
-        and nested dataclasses to dicts; :meth:`from_dict` coerces both back,
-        so ``from_dict(to_dict())`` reconstructs an equal config with a
+        preserves declaration order.  Nested dataclasses collapse to dicts;
+        :meth:`from_dict` coerces them back, so ``from_dict(to_dict())`` reconstructs an equal config with a
         byte-identical :meth:`fingerprint`.
         """
         return {key: _wire_safe(value) for key, value in asdict(self).items()}
@@ -484,9 +408,8 @@ class ExperimentConfig:
     def to_canonical_dict(self) -> Dict[str, Any]:
         """All simulation-relevant fields as JSON-safe values, stably ordered.
 
-        Enums collapse to their ``.value`` (identical to the plain-string
-        spelling of the same component) and nested dataclasses (e.g.
-        :class:`IncastParams`) to sorted dicts, so two configs that would run
+        Nested dataclasses (e.g. :class:`IncastParams`) collapse to sorted
+        dicts, so two configs that would run
         identical simulations serialize identically across processes and
         Python versions.  Fields in :data:`_NON_PHYSICAL_FIELDS` are
         excluded: they never influence a run's physics, and including them
@@ -541,12 +464,10 @@ class ExperimentConfig:
 
 
 def _json_normalize(value: Any, sort_keys: bool) -> Any:
-    """One JSON-normalizer for both serializations (enums -> values, nested
-    dataclass dicts/lists -> plain structures), so the canonical
-    (fingerprint) and wire (task-file) forms can never drift on value
-    handling -- they differ only in mapping-key order."""
-    if isinstance(value, Enum):
-        return value.value
+    """One JSON-normalizer for both serializations (nested dataclass
+    dicts/lists -> plain structures), so the canonical (fingerprint) and
+    wire (task-file) forms can never drift on value handling -- they differ
+    only in mapping-key order."""
     if isinstance(value, dict):
         items = sorted(value.items()) if sort_keys else value.items()
         return {key: _json_normalize(item, sort_keys) for key, item in items}

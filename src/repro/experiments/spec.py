@@ -9,10 +9,7 @@ is JSON-safe, so specs round-trip through ``to_dict``/``from_dict`` and can
 be shipped to other processes or machines as the unit of sweep work.
 
 Cells are built as ``defaults < row < variant < call overrides`` (rightmost
-wins), exactly mirroring how the retired hand-written ``figN_configs``
-builders layered :func:`~repro.experiments.scenarios.default_config` and
-``**overrides`` -- so the :class:`ExperimentConfig` objects (and their cache
-fingerprints) are identical to what those builders produced.
+wins), so a caller's ``configs(**overrides)`` beats every layer of the spec.
 
 Specs register themselves in the :data:`SCENARIOS` registry; resolve one
 with :func:`scenario` (or :func:`repro.api.load_scenario`)::
@@ -27,7 +24,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from enum import Enum
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -59,7 +55,7 @@ __all__ = [
 def auto_cell_name(transport: str, congestion_control: str, pfc_enabled: bool) -> str:
     """The historical auto-derived cell name, ``{transport}-{cc}-{pfc|nopfc}``.
 
-    One definition shared by :meth:`ScenarioSpec._build_cell` and the legacy
+    One definition shared by :meth:`ScenarioSpec._build_cell` and
     :func:`~repro.experiments.scenarios.default_config`: names group
     aggregation cells, so the two construction paths must never drift.
     """
@@ -81,11 +77,9 @@ _PLACEHOLDER = re.compile(r"\{([^{}]+)\}")
 
 
 def _json_safe(value: Any) -> Any:
-    """Normalize an override value to plain JSON types (enums collapse to
-    their ``.value``, nested dataclasses to dicts, tuples to lists), so a
-    spec serializes identically however its overrides were spelled."""
-    if isinstance(value, Enum):
-        return value.value
+    """Normalize an override value to plain JSON types (nested dataclasses
+    to dicts, tuples to lists), so a spec serializes identically however its
+    overrides were spelled."""
     if is_dataclass(value) and not isinstance(value, type):
         return _json_safe(asdict(value))
     if isinstance(value, Mapping):

@@ -22,13 +22,13 @@ turns that embarrassingly parallel work into one call:
 
 Worked example::
 
-    from repro.experiments import ExperimentConfig, TransportKind
+    from repro.experiments import ExperimentConfig
     from repro.experiments.sweep import ParameterGrid, ResultCache, run_sweep
 
     grid = ParameterGrid(
         ExperimentConfig(num_flows=100),
         axes={
-            "transport": [TransportKind.IRN, TransportKind.ROCE],
+            "transport": ["irn", "roce"],
             "pfc_enabled": [False, True],
             "seed": [1, 2, 3],
         },
@@ -52,7 +52,6 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from pathlib import Path
 from typing import (
     Any,
@@ -76,18 +75,6 @@ from repro.metrics.partial import PartialAggregator
 #: that invalidates previously cached rows.  (2: rows carry quantile-digest
 #: payloads for FCT / slowdown / single-packet latency.)
 CACHE_SCHEMA_VERSION = 2
-
-#: Kept as an alias for the backend module's constant (historical home).
-from repro.experiments.backends import (  # noqa: E402, F401
-    MAX_AUTO_WORKERS as _MAX_AUTO_WORKERS,
-)
-
-
-def _format_axis_value(value: Any) -> str:
-    if isinstance(value, Enum):
-        return str(value.value)
-    return str(value)
-
 
 _CODE_FINGERPRINT: Optional[str] = None
 
@@ -150,7 +137,7 @@ class ParameterGrid:
     def label_for(self, overrides: Mapping[str, Any]) -> str:
         """The human-readable cell label, e.g. ``"transport=irn, seed=1"``."""
         return ", ".join(
-            f"{name}={_format_axis_value(overrides[name])}" for name in self.axes
+            f"{name}={overrides[name]}" for name in self.axes
         )
 
     def expand(self) -> Dict[str, ExperimentConfig]:
@@ -561,14 +548,6 @@ def run_sweep(
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
-
-#: Kept as aliases: the aggregation math lives in :mod:`repro.metrics.partial`
-#: so the streaming (work-queue) path and this batch path can never drift.
-from repro.metrics.partial import (  # noqa: E402, F401
-    MEAN_P99_METRICS as _MEAN_P99_METRICS,
-    SUMMED_COUNTERS as _SUMMED_COUNTERS,
-)
-
 
 def aggregate_rows(
     rows: Iterable[ResultRow],

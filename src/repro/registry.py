@@ -2,24 +2,21 @@
 
 Topologies, workloads, transports, congestion-control schemes and scenarios
 are all looked up by name in a :class:`Registry` instead of being dispatched
-through closed ``if/elif`` chains over enums.  Third-party code registers a
-new component with a decorator and never has to touch the engine::
+through closed ``if/elif`` chains.  A registry name is the one spelling of a
+component everywhere: in :class:`~repro.experiments.config.ExperimentConfig`
+fields, scenario specs, CLI ``--set`` overrides and fingerprints.
+Third-party code registers a new component with a decorator and never has
+to touch the engine::
 
     from repro.topology import register_topology
 
     @register_topology("ring", max_hop_count=4, switch_radix=4)
     def build_ring(sim, config, switch_config):
         ...
-
-The legacy enums (:class:`~repro.experiments.config.TopologyKind` and
-friends) survive as thin aliases: lookups accept an enum member and resolve
-it through its ``.value``, so existing configs and their fingerprints are
-unchanged.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Callable, Dict, Generic, Iterator, List, Optional, Sequence, TypeVar, Union
 
 T = TypeVar("T")
@@ -59,16 +56,10 @@ class DuplicateNameError(ValueError):
     """Registration under a name (or alias) that is already taken."""
 
 
-def normalize_name(name: Union[str, Enum]) -> str:
-    """Canonical registry key: enum members collapse to their ``.value``.
-
-    This is what keeps the deprecated kind-enums working: registries store
-    plain strings, and ``TopologyKind.FAT_TREE`` resolves to ``"fat_tree"``.
-    """
-    if isinstance(name, Enum):
-        name = name.value
+def normalize_name(name: str) -> str:
+    """Canonical registry key: names are case-insensitive strings."""
     if not isinstance(name, str):
-        raise TypeError(f"component names must be strings or enums, got {name!r}")
+        raise TypeError(f"component names must be strings, got {name!r}")
     return name.lower()
 
 
@@ -92,7 +83,7 @@ class Registry(Generic[T]):
     # ------------------------------------------------------------------
     def register(
         self,
-        name: Union[str, Enum],
+        name: str,
         obj: Optional[T] = None,
         *,
         aliases: Sequence[str] = (),
@@ -131,7 +122,7 @@ class Registry(Generic[T]):
             self._aliases[alias_key] = key
         return obj
 
-    def unregister(self, name: Union[str, Enum]) -> None:
+    def unregister(self, name: str) -> None:
         """Remove ``name`` and any aliases pointing at it (test cleanup)."""
         key = normalize_name(name)
         key = self._aliases.get(key, key)
@@ -141,7 +132,7 @@ class Registry(Generic[T]):
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def get(self, name: Union[str, Enum]) -> T:
+    def get(self, name: str) -> T:
         """The object registered under ``name`` (or an alias of it).
 
         Raises :class:`UnknownNameError` -- whose message lists every valid
@@ -154,7 +145,7 @@ class Registry(Generic[T]):
         except KeyError:
             raise UnknownNameError(self.kind, key, self.names()) from None
 
-    def canonical_name(self, name: Union[str, Enum]) -> str:
+    def canonical_name(self, name: str) -> str:
         """The canonical spelling of ``name``: aliases resolve to the name
         they target; unregistered names pass through normalized.  Lets
         callers store one spelling per component, so alias spellings never

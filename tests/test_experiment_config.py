@@ -1,18 +1,17 @@
 """Tests for experiment configuration and the paper scenario presets."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.core.factory import TransportKind
 from repro.experiments import scenarios
-from repro.experiments.config import (
-    CongestionControl,
-    ExperimentConfig,
-    TopologyKind,
-    WorkloadKind,
-)
+from repro.experiments.config import _NON_PHYSICAL_FIELDS, ExperimentConfig
+from repro.experiments.results import ResultRow
+from repro.experiments.runner import run_experiment
+from repro.experiments.spec import scenario
 from repro.faults import FaultPlan, LinkFlap, PacketCorruption
+from repro.workload.incast import IncastParams
 
 
 class TestDerivedQuantities:
@@ -49,25 +48,25 @@ class TestDerivedQuantities:
         assert worst.effective_header_bytes() == base.effective_header_bytes() + 16
 
     def test_switch_config_reflects_pfc_and_cc(self):
-        config = ExperimentConfig(pfc_enabled=False, congestion_control=CongestionControl.DCQCN)
+        config = ExperimentConfig(pfc_enabled=False, congestion_control="dcqcn")
         switch_config = config.switch_config()
         assert switch_config.pfc.enabled is False
         assert switch_config.ecn.enabled is True
         assert switch_config.ecn.step_marking is False
 
     def test_dctcp_uses_step_marking(self):
-        config = ExperimentConfig(congestion_control=CongestionControl.DCTCP)
+        config = ExperimentConfig(congestion_control="dctcp")
         assert config.switch_config().ecn.step_marking is True
 
     def test_no_ecn_without_ecn_based_cc(self):
-        for cc in (CongestionControl.NONE, CongestionControl.TIMELY, CongestionControl.AIMD):
+        for cc in ("none", "timely", "aimd"):
             config = ExperimentConfig(congestion_control=cc)
             assert config.switch_config().ecn.enabled is False
 
     def test_size_distribution_selection(self):
-        assert ExperimentConfig(workload=WorkloadKind.HEAVY_TAILED).size_distribution() is not None
-        assert ExperimentConfig(workload=WorkloadKind.UNIFORM).size_distribution() is not None
-        assert ExperimentConfig(workload=WorkloadKind.NONE).size_distribution() is None
+        assert ExperimentConfig(workload="heavy_tailed").size_distribution() is not None
+        assert ExperimentConfig(workload="uniform").size_distribution() is not None
+        assert ExperimentConfig(workload="none").size_distribution() is None
 
     def test_with_overrides_returns_modified_copy(self):
         config = ExperimentConfig(target_load=0.7)
@@ -104,7 +103,7 @@ class TestAckCoalescingKnobs:
         # schemes are registered in the fingerprinting process (a
         # coordinator can fingerprint configs for plugin schemes it never
         # loads).  The cap just costs one conservative cache miss.
-        timely = ExperimentConfig(congestion_control=CongestionControl.TIMELY)
+        timely = ExperimentConfig(congestion_control="timely")
         assert timely.effective_ack_coalesce_n() == 1
         assert timely.to_canonical_dict()["ack_coalesce_n"] == 4
 
@@ -189,9 +188,9 @@ class TestFaultPlanFingerprint:
     def test_effective_window_respects_scheme_cap(self):
         # Timely needs per-packet RTT samples: the scheme metadata caps the
         # coalescing window at 1 whatever the config asks for.
-        timely = ExperimentConfig(congestion_control=CongestionControl.TIMELY)
+        timely = ExperimentConfig(congestion_control="timely")
         assert timely.effective_ack_coalesce_n() == 1
-        dcqcn = ExperimentConfig(congestion_control=CongestionControl.DCQCN)
+        dcqcn = ExperimentConfig(congestion_control="dcqcn")
         assert dcqcn.effective_ack_coalesce_n() == 4
 
     def test_flush_timeout_clamped_below_rto(self):
@@ -199,74 +198,151 @@ class TestFaultPlanFingerprint:
         assert config.effective_ack_coalesce_s() <= 0.5 * config.effective_rto_low_s()
 
 
+#: One valid, non-default value for every ExperimentConfig field.
+PERTURBATIONS = {
+    "name": "perturbed",
+    "topology": "star",
+    "fat_tree_k": 6,
+    "num_hosts": 12,
+    "ring_switches": 4,
+    "link_bandwidth_bps": 25e9,
+    "link_delay_s": 2e-6,
+    "wan_delay_s": 2e-3,
+    "pfc_enabled": False,
+    "buffer_bytes_per_port": 60_000,
+    "pfc_headroom_bytes": 20_000,
+    "port_batch_bytes": 4_000,
+    "transport": "roce",
+    "mtu_bytes": 1500,
+    "header_bytes": 64,
+    "rto_low_s": 100e-6,
+    "rto_high_s": 320e-6,
+    "rto_low_threshold_packets": 10,
+    "bdp_cap_packets": 20,
+    "worst_case_overheads": True,
+    "ack_coalesce_n": 8,
+    "ack_coalesce_us": 50.0,
+    "pacing_quantum_us": 3.2,
+    "congestion_control": "dcqcn",
+    "workload": "uniform",
+    "target_load": 0.5,
+    "num_flows": 50,
+    "flow_size_scale": 0.2,
+    "uniform_low_bytes": 10_000,
+    "uniform_high_bytes": 100_000,
+    "fixed_size_bytes": 20_000,
+    "incast": IncastParams(total_bytes=1_000_000, fan_in=4, destination="h0"),
+    "seed": 2,
+    "max_sim_time_s": 1.0,
+    "max_events": 1_000_000,
+    "keep_flow_records": False,
+    "fabric_digests": True,
+    "c_latency_ratios": True,
+    "fault_plan": FaultPlan(faults=(LinkFlap(src="s0", dst="s1", start_s=1e-4, end_s=2e-4),)),
+}
+
+
+class TestFingerprintSoundness:
+    """The fingerprint keys the sweep cache and the work-queue task files:
+    a field that can change a row must move it, and a field that cannot
+    must not (or physically identical runs would miss warm caches)."""
+
+    def test_every_field_has_a_perturbation(self):
+        # A new field fails here until it is given a value below -- and so
+        # until its fingerprint behaviour is checked.
+        assert set(PERTURBATIONS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("field_name", sorted(PERTURBATIONS))
+    def test_perturbing_a_field_moves_the_fingerprint_iff_physical(self, field_name):
+        base = ExperimentConfig()
+        perturbed = base.with_overrides(**{field_name: PERTURBATIONS[field_name]})
+        assert getattr(perturbed, field_name) != getattr(base, field_name)
+        moved = perturbed.fingerprint() != base.fingerprint()
+        assert moved == (field_name not in _NON_PHYSICAL_FIELDS)
+
+    def test_non_physical_fields_leave_the_row_unchanged(self):
+        base = ExperimentConfig(
+            topology="star", num_hosts=4, workload="fixed", fixed_size_bytes=800,
+            num_flows=6, max_sim_time_s=1.0,
+        )
+
+        def row(config):
+            return ResultRow.from_result(run_experiment(config), label="cell").to_dict()
+
+        reference = row(base)
+        assert row(base.with_overrides(keep_flow_records=False)) == reference
+        # ``name`` is the cell binding a row carries (a cache hit rebinds
+        # it to the requesting cell); everything else must be identical.
+        renamed = row(base.with_overrides(name="perturbed"))
+        assert renamed.pop("name") == "perturbed"
+        assert renamed == {key: value for key, value in reference.items() if key != "name"}
+
+
 class TestScenarioPresets:
     def test_fig1_pairs_roce_pfc_with_irn_lossy(self):
-        configs = scenarios.fig1_configs()
+        configs = scenario("fig1").configs()
         roce = configs["RoCE (with PFC)"]
         irn = configs["IRN (without PFC)"]
-        assert roce.transport is TransportKind.ROCE and roce.pfc_enabled
-        assert irn.transport is TransportKind.IRN and not irn.pfc_enabled
+        assert roce.transport == "roce" and roce.pfc_enabled
+        assert irn.transport == "irn" and not irn.pfc_enabled
 
     def test_fig2_varies_only_pfc(self):
-        configs = scenarios.fig2_configs()
-        assert all(c.transport is TransportKind.IRN for c in configs.values())
+        configs = scenario("fig2").configs()
+        assert all(c.transport == "irn" for c in configs.values())
         assert {c.pfc_enabled for c in configs.values()} == {True, False}
 
     def test_fig4_covers_timely_and_dcqcn(self):
-        configs = scenarios.fig4_configs()
+        configs = scenario("fig4").configs()
         ccs = {c.congestion_control for c in configs.values()}
-        assert ccs == {CongestionControl.TIMELY, CongestionControl.DCQCN}
+        assert ccs == {"timely", "dcqcn"}
         assert len(configs) == 4
 
     def test_fig7_factor_analysis_variants(self):
-        configs = scenarios.fig7_configs()
+        configs = scenario("fig7").configs()
         kinds = {c.transport for c in configs.values()}
-        assert kinds == {
-            TransportKind.IRN, TransportKind.IRN_GO_BACK_N, TransportKind.IRN_NO_BDPFC
-        }
+        assert kinds == {"irn", "irn_go_back_n", "irn_no_bdpfc"}
 
     def test_fig9_varies_fan_in(self):
-        configs = scenarios.fig9_configs(fan_ins=(4, 8))
+        configs = scenario("fig9").with_rows(
+            {f"M={m}": {"incast": {"total_bytes": 1_000_000, "fan_in": m}} for m in (4, 8)}
+        ).configs()
         assert len(configs) == 4
         assert all(c.incast is not None for c in configs.values())
         assert {c.incast.fan_in for c in configs.values()} == {4, 8}
-        assert all(c.workload is WorkloadKind.NONE for c in configs.values())
+        assert all(c.workload == "none" for c in configs.values())
 
     def test_fig10_resilient_roce_is_dcqcn_without_pfc(self):
-        config = scenarios.fig10_configs()["Resilient RoCE"]
-        assert config.transport is TransportKind.ROCE
-        assert config.congestion_control is CongestionControl.DCQCN
+        config = scenario("fig10").configs()["Resilient RoCE"]
+        assert config.transport == "roce"
+        assert config.congestion_control == "dcqcn"
         assert not config.pfc_enabled
 
     def test_fig11_includes_iwarp(self):
-        configs = scenarios.fig11_configs()
-        assert configs["iWARP"].transport is TransportKind.IWARP
+        configs = scenario("fig11").configs()
+        assert configs["iWARP"].transport == "iwarp"
 
     def test_fig12_overhead_flag(self):
-        configs = scenarios.fig12_configs()
+        configs = scenario("fig12").configs()
         assert configs["IRN (worst-case overheads)"].worst_case_overheads
         assert not configs["IRN (no overheads)"].worst_case_overheads
 
     def test_appendix_tables_have_three_columns_per_row(self):
         for table in (
-            scenarios.table3_configs(utilizations=(0.5, 0.9)),
-            scenarios.table4_configs(bandwidths_gbps=(10,)),
-            scenarios.table7_configs(buffer_bytes=(15_000,)),
-            scenarios.table8_configs(rto_high_values_s=(320e-6,)),
-            scenarios.table9_configs(n_values=(3,)),
+            scenario(name).tables()
+            for name in ("table3", "table4", "table7", "table8", "table9")
         ):
             for row in table.values():
                 assert set(row) == {"IRN", "IRN+PFC", "RoCE+PFC"}
 
     def test_table5_scales_topology(self):
-        table = scenarios.table5_configs(arities=(4, 6))
+        table = scenario("table5").tables()
         assert {row_label.split(" ")[0] for row_label in table} == {"k=4", "k=6"}
         assert table["k=6 (54 hosts)"]["IRN"].fat_tree_k == 6
 
     def test_table6_switches_workload(self):
-        table = scenarios.table6_configs()
-        assert table["Uniform"]["IRN"].workload is WorkloadKind.UNIFORM
-        assert table["Heavy-tailed"]["IRN"].workload is WorkloadKind.HEAVY_TAILED
+        table = scenario("table6").tables()
+        assert table["Uniform"]["IRN"].workload == "uniform"
+        assert table["Heavy-tailed"]["IRN"].workload == "heavy_tailed"
 
     def test_default_config_overrides_passthrough(self):
         config = scenarios.default_config(num_flows=10, seed=9, target_load=0.4)

@@ -9,13 +9,8 @@ from repro.congestion.factory import (
     make_congestion_control,
     register_congestion_control,
 )
-from repro.core.factory import TRANSPORTS, TransportKind
-from repro.experiments.config import (
-    CongestionControl,
-    ExperimentConfig,
-    TopologyKind,
-    WorkloadKind,
-)
+from repro.core.factory import TRANSPORTS
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.registry import DuplicateNameError, Registry, UnknownNameError
 from repro.sim.network import Network
@@ -99,30 +94,28 @@ class TestRegistrySemantics:
 
 class TestBuiltinRegistrations:
     def test_all_topology_kinds_registered(self):
-        for kind in TopologyKind:
-            assert kind.value in TOPOLOGIES
+        for kind in ("fat_tree", "star", "dumbbell", "parking_lot"):
+            assert kind in TOPOLOGIES
 
     def test_all_workload_kinds_registered(self):
-        for kind in WorkloadKind:
-            assert kind.value in WORKLOADS
+        for kind in ("heavy_tailed", "uniform", "fixed", "none"):
+            assert kind in WORKLOADS
 
     def test_all_transport_kinds_registered(self):
-        for kind in TransportKind:
-            assert kind.value in TRANSPORTS
+        for kind in ("irn", "roce", "iwarp", "irn_go_back_n", "irn_no_bdpfc", "irn_no_sack"):
+            assert kind in TRANSPORTS
 
     def test_all_congestion_kinds_registered(self):
-        for kind in CongestionControl:
-            assert kind.value in CONGESTION_SCHEMES
+        for kind in ("none", "timely", "dcqcn", "aimd", "dctcp"):
+            assert kind in CONGESTION_SCHEMES
 
-    def test_enum_members_resolve_through_registries(self):
-        # The deprecated enums are thin aliases: a member and its string
-        # value resolve to the same registry entry.
-        assert TOPOLOGIES.get(TopologyKind.FAT_TREE) is TOPOLOGIES.get("fat_tree")
-        assert TRANSPORTS.get(TransportKind.IRN) is TRANSPORTS.get("irn")
-        assert CONGESTION_SCHEMES.get(CongestionControl.DCQCN) is (
-            CONGESTION_SCHEMES.get("dcqcn")
-        )
-        assert WORKLOADS.get(WorkloadKind.NONE) is WORKLOADS.get("none")
+    def test_non_string_names_are_rejected(self):
+        # A registry name is the one spelling of a component: lookups of
+        # anything but a string fail loudly, and membership is just False.
+        for bad in (5, None, ("irn",)):
+            with pytest.raises(TypeError, match="must be strings"):
+                TRANSPORTS.get(bad)
+            assert bad not in TRANSPORTS
 
     def test_congestion_aliases_still_work(self):
         for alias in ("none", "no_cc", "off"):
@@ -140,21 +133,6 @@ class TestBuiltinRegistrations:
 
 
 class TestConfigKindCoercion:
-    def test_string_spelling_matches_enum_spelling(self):
-        by_enum = ExperimentConfig(
-            topology=TopologyKind.STAR,
-            transport=TransportKind.ROCE,
-            congestion_control=CongestionControl.TIMELY,
-            workload=WorkloadKind.UNIFORM,
-        )
-        by_string = ExperimentConfig(
-            topology="star", transport="roce",
-            congestion_control="timely", workload="uniform",
-        )
-        assert by_string.topology is TopologyKind.STAR
-        assert by_string.transport is TransportKind.ROCE
-        assert by_string.fingerprint() == by_enum.fingerprint()
-
     def test_unknown_component_names_stay_strings(self):
         config = ExperimentConfig(topology="not_yet_registered")
         assert config.topology == "not_yet_registered"
@@ -168,8 +146,7 @@ class TestConfigKindCoercion:
         canonical = ExperimentConfig(congestion_control="none")
         for alias in ("off", "no_cc", "OFF"):
             config = ExperimentConfig(congestion_control=alias)
-            assert config.congestion_control is CongestionControl.NONE, alias
-            assert config.congestion_control_name == "none"
+            assert config.congestion_control == "none", alias
             assert config.fingerprint() == canonical.fingerprint()
 
     def test_unknown_component_names_normalize_case(self):
@@ -179,6 +156,16 @@ class TestConfigKindCoercion:
         lower = ExperimentConfig(congestion_control="swift")
         assert upper.congestion_control == "swift"
         assert upper.fingerprint() == lower.fingerprint()
+
+    @pytest.mark.parametrize(
+        "field_name", ["topology", "transport", "congestion_control", "workload"]
+    )
+    def test_non_string_component_names_rejected_at_construction(self, field_name):
+        # Fails where the config is built, naming the field -- not later,
+        # deep inside a registry lookup mid-run.
+        for bad in (5, None):
+            with pytest.raises(TypeError, match=f"^{field_name} must be"):
+                ExperimentConfig(**{field_name: bad})
 
     def test_keep_flow_records_excluded_from_fingerprint(self):
         # An execution/memory knob must not invalidate warm sweep caches.

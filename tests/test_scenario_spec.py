@@ -6,9 +6,8 @@ import json
 import pytest
 
 import repro.api as api
-from repro.core.factory import TransportKind
 from repro.experiments import scenarios
-from repro.experiments.config import CongestionControl, ExperimentConfig
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.spec import SCENARIOS, ScenarioSpec, register_scenario, scenario
 from repro.registry import UnknownNameError
 
@@ -89,8 +88,8 @@ class TestSpecConfigs:
             link_bandwidth_bps=10e9,
             link_delay_s=1e-6,
             pfc_enabled=True,
-            transport=TransportKind.ROCE,
-            congestion_control=CongestionControl.NONE,
+            transport="roce",
+            congestion_control="none",
             workload="heavy_tailed",
             target_load=0.7,
             num_flows=scenarios.DEFAULT_NUM_FLOWS,
@@ -101,21 +100,11 @@ class TestSpecConfigs:
         assert spec_roce.fingerprint() == legacy_roce.fingerprint()
         assert spec_roce.name == legacy_roce.name
 
-    def test_legacy_wrappers_delegate_to_specs(self):
-        wrapper = scenarios.fig8_configs(num_flows=50)
-        direct = scenario("fig8").configs(num_flows=50)
-        assert list(wrapper) == list(direct)
-        assert [c.fingerprint() for c in wrapper.values()] == [
-            c.fingerprint() for c in direct.values()
-        ]
-
     def test_fig9_names_and_incast(self):
         configs = scenario("fig9").configs()
         assert configs["RoCE M=10"].name == "incast-roce-m10"
         assert configs["IRN M=15"].incast.fan_in == 15
-        assert configs["IRN M=15"].workload_name == "none"
-        # The legacy wrapper keeps the paper's larger default fan-ins.
-        assert "IRN M=20" in scenarios.fig9_configs()
+        assert configs["IRN M=15"].workload == "none"
 
     def test_every_scenario_default_is_runnable(self):
         # The CLI exposes every registered scenario at its defaults; each
@@ -185,14 +174,17 @@ class TestSpecSerialization:
             c.fingerprint() for c in restored.values()
         ]
 
-    def test_enum_overrides_normalize_to_json(self):
+    def test_dataclass_overrides_normalize_to_json(self):
+        from repro.workload.incast import IncastParams
+
         spec = ScenarioSpec(
-            name="enum_spec",
-            variants={"v": {"transport": TransportKind.ROCE,
-                            "congestion_control": CongestionControl.TIMELY}},
+            name="dataclass_spec",
+            variants={"v": {"incast": IncastParams(total_bytes=1000, fan_in=2),
+                            "transport": "roce"}},
         )
-        assert spec.variants["v"]["transport"] == "roce"
-        json.dumps(spec.to_dict())  # round-trippable despite enum input
+        assert spec.variants["v"]["incast"]["fan_in"] == 2
+        json.dumps(spec.to_dict())  # round-trippable despite dataclass input
+        assert spec.configs()["v"].incast == IncastParams(total_bytes=1000, fan_in=2)
 
     def test_from_dict_rejects_extra_keys(self):
         with pytest.raises(TypeError):
@@ -299,6 +291,14 @@ class TestCli:
         code = main(["run", "not_a_scenario"])
         assert code == 2
         assert "unknown scenario" in capsys.readouterr().out
+
+    def test_run_rejects_a_non_string_component_name(self, capsys):
+        from repro.__main__ import main
+
+        code = main(["run", "fig1", "--workers", "1", "--no-cache",
+                     "--set", "transport=5"])
+        assert code == 2
+        assert "transport must be a registered transport name" in capsys.readouterr().out
 
     def test_list_names_every_scenario(self, capsys):
         from repro.__main__ import main
